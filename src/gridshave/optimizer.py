@@ -12,8 +12,8 @@ terminal state e(T) = e_terminal, per-hour chiller capacity and the COP
 floor. Capacity is linear and the COP surface quadratic in PLR, so both
 reduce to per-hour intervals on q_stor; the remaining constraints form one
 lower-triangular linear system, making the problem a smooth NLP over box +
-linear constraints. It is solved with scipy's trust-region interior-point
-method from a feasible start, with analytic gradient and Hessian.
+linear constraints. It is solved by one scipy SLSQP run from a feasible
+start with the analytic gradient; scipy.optimize is imported only then.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from .configio import get_float, read_config, write_config
 from .cooling import (
@@ -87,12 +86,9 @@ class ScheduleProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_iterations: int = 100_000
-    max_function_evals: int = 100_000
+    max_iterations: int = 100_000       # SLSQP maxiter
     feasibility_tol: float = 1e-6       # MWh, schedule checks
-    optimality_tol: float = 1e-8        # first-order condition tolerance
-    initial_tr_radius: float = 1.0
-    initial_barrier_parameter: float = 0.1
+    optimality_tol: float = 1e-8        # SLSQP ftol, MW^2
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
@@ -101,23 +97,18 @@ class SolverOptions:
     def to_entries(self) -> dict[str, str]:
         return {
             "max_iterations": str(self.max_iterations),
-            "max_function_evals": str(self.max_function_evals),
             "feasibility_tol": repr(self.feasibility_tol),
             "optimality_tol": repr(self.optimality_tol),
-            "initial_tr_radius": repr(self.initial_tr_radius),
-            "initial_barrier_parameter": repr(self.initial_barrier_parameter),
         }
 
     @classmethod
     def load(cls, path: str) -> "SolverOptions":
+        """Read the known keys; keys of older formats are ignored."""
         cfg = read_config(path)
         return cls(
             max_iterations=int(get_float(cfg, "max_iterations", path)),
-            max_function_evals=int(get_float(cfg, "max_function_evals", path)),
             feasibility_tol=get_float(cfg, "feasibility_tol", path),
             optimality_tol=get_float(cfg, "optimality_tol", path),
-            initial_tr_radius=get_float(cfg, "initial_tr_radius", path),
-            initial_barrier_parameter=get_float(cfg, "initial_barrier_parameter", path),
         )
 
     def save(self, path: str, header: str | None = None) -> None:
@@ -134,7 +125,6 @@ class OptimalSchedule:
     generation: np.ndarray             # MW per hour
     iterations: int
     converged: bool
-    first_order_residual: float | None = None
     grid_error_bound: float | None = None
     message: str = ""
 
@@ -286,38 +276,6 @@ def gradient(q_stor, problem: ScheduleProblem) -> np.ndarray:
     return grad
 
 
-def hessian_diagonal(q_stor, problem: ScheduleProblem) -> np.ndarray:
-    """Diagonal of the objective Hessian (hours are uncoupled in the cost).
-
-    With p' = dp_ch/dq_ch and p'' its derivative,
-    d2/dq^2 (G - p_mean)^2 = 2 p'^2 + 2 (G - p_mean) p''.
-    """
-    q = np.asarray(q_stor, dtype=float)
-    q_ch, cop, p_ch = _power_arrays(q, problem)
-    q_max = problem.tes.q_ch_max
-    plr = q_ch / q_max
-    slope = cop_plr_slope(plr, problem.twb, problem.cop_model)
-    c1 = slope / q_max                          # dcop/dq_ch
-    c2 = 2.0 * problem.cop_model.c3 / (q_max * q_max)   # d2cop/dq_ch2
-    p1 = (cop - plr * slope) / (cop * cop)
-    p2 = (-q_ch * c2 * cop - 2.0 * c1 * (cop - q_ch * c1)) / (cop ** 3)
-    r = problem.p_base + p_ch - problem.p_mean
-    return 2.0 * p1 * p1 + 2.0 * r * p2
-
-
-def _soc_constraint(problem: ScheduleProblem) -> LinearConstraint:
-    """Cumulative-sum chain with the terminal state as the last (equality) row."""
-    T = problem.horizon
-    tes = problem.tes
-    A = np.tril(np.ones((T, T)))
-    lb = np.full(T, -tes.e_initial)
-    ub = np.full(T, tes.e_max - tes.e_initial)
-    delta = tes.e_terminal - tes.e_initial
-    lb[-1] = delta
-    ub[-1] = delta
-    return LinearConstraint(A, lb, ub)
-
-
 def feasible_start(problem: ScheduleProblem,
                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Zero schedule, or a uniform ramp when the boundary states differ."""
@@ -340,121 +298,61 @@ def feasible_start(problem: ScheduleProblem,
     return x0
 
 
-class _FunctionBudget(Exception):
-    pass
-
-
 def solve(problem: ScheduleProblem,
           opts: SolverOptions = SolverOptions()) -> OptimalSchedule:
     """Minimize the flatness objective over feasible storage schedules.
 
-    Runs the interior trust-region solver from the zero/ramp start and, for
-    24-hour problems, also from the operator heuristic; the best feasible
-    point found (including the starting candidates themselves) is returned,
-    so the result never loses to either reference schedule. Deterministic
-    for identical inputs and options.
+    One SLSQP run from the zero/ramp start. The returned point is the best
+    of the SLSQP result, the start and (for 24-hour problems) the operator
+    heuristic, so it never loses to either reference schedule; `converged`
+    is SLSQP's own success flag. Deterministic for identical inputs and
+    options.
     """
+    from scipy.optimize import Bounds, LinearConstraint, minimize
+
+    T = problem.horizon
+    tes = problem.tes
     lo, hi = hour_bounds(problem)
     x0 = feasible_start(problem, lo, hi)
-
-    starts = [x0]
-    if problem.horizon == HOURS_PER_DAY:
-        try:
-            heur = operator_heuristic(problem)
-            if not check_schedule(heur, problem.tes, tol=opts.feasibility_tol):
-                starts.append(heur.q_stor)
-        except InfeasibleStartError:
-            pass
-
+    # stored-energy chain: rows 0..T-2 keep 0 <= e(t) <= e_max, and the last
+    # row is the terminal-state equality
+    chain = np.tril(np.ones((T, T)))
+    delta = tes.e_terminal - tes.e_initial
+    constraints = [LinearConstraint(chain[:-1], -tes.e_initial, tes.e_max - tes.e_initial),
+                   LinearConstraint(chain[-1:], delta, delta)]
     tie = TIE_BREAK_WEIGHT
-    evals = {"n": 0}
+    res = minimize(
+        lambda x: objective(x, problem) + tie * float(np.dot(x, x)), x0,
+        jac=lambda x: gradient(x, problem) + 2.0 * tie * x,
+        method="SLSQP", bounds=Bounds(lo, hi), constraints=constraints,
+        options={"maxiter": opts.max_iterations, "ftol": opts.optimality_tol},
+    )
+    x = np.asarray(res.x, dtype=float)
+    # restore the terminal state exactly; the uniform shift is orders of
+    # magnitude below feasibility_tol and keeps all other limits within it
+    candidates = [x + (delta - float(np.sum(x))) / T, x0]
+    if T == HOURS_PER_DAY:
+        heur = operator_heuristic(problem)
+        if not check_schedule(heur, tes, tol=opts.feasibility_tol):
+            candidates.append(heur.q_stor)
+    best_obj, best = min(((objective(q, problem), q) for q in candidates),
+                         key=lambda c: c[0])
 
-    def f(x):
-        evals["n"] += 1
-        if evals["n"] > opts.max_function_evals:
-            raise _FunctionBudget()
-        return objective(x, problem) + tie * float(np.dot(x, x))
-
-    def g(x):
-        return gradient(x, problem) + 2.0 * tie * x
-
-    def h(x):
-        return np.diag(hessian_diagonal(x, problem) + 2.0 * tie)
-
-    bounds = Bounds(lo, hi, keep_feasible=True)
-    constraint = _soc_constraint(problem)
-
-    # raw starts act as fallback candidates so the result can never lose to
-    # the zero/ramp schedule or the operator heuristic
-    candidates = [
-        {"obj": objective(s, problem), "x": s, "iters": 0, "converged": False,
-         "residual": None, "message": "feasible start", "priority": 1}
-        for s in starts
-    ]
-
-    total_iters = 0
-    budget_note = ""
-    for start in starts:
-        try:
-            res = minimize(
-                f, start, jac=g, hess=h, method="trust-constr",
-                bounds=bounds, constraints=[constraint],
-                options={
-                    "maxiter": opts.max_iterations,
-                    "gtol": opts.optimality_tol,
-                    "xtol": 1e-12,
-                    "initial_tr_radius": opts.initial_tr_radius,
-                    "initial_barrier_parameter": opts.initial_barrier_parameter,
-                    "verbose": 0,
-                },
-            )
-        except _FunctionBudget:
-            budget_note = "function evaluation budget exhausted"
-            break
-        total_iters += int(res.niter)
-        x = np.asarray(res.x, dtype=float)
-        # restore the terminal state exactly; the uniform shift is orders of
-        # magnitude below feasibility_tol and keeps all other limits within it
-        delta = (problem.tes.e_terminal - problem.tes.e_initial) - float(np.sum(x))
-        x = x + delta / problem.horizon
-        candidates.append({
-            "obj": objective(x, problem), "x": x, "iters": int(res.niter),
-            "converged": res.status in (1, 2),
-            "residual": float(res.optimality), "message": str(res.message),
-            "priority": 0,
-        })
-
-    best = min(candidates, key=lambda c: (c["obj"], c["priority"]))
-    converged = best["converged"]
-    residual = best["residual"]
-    if best["priority"] == 1:
-        # A raw start won on strict objective (e.g. the exact zero schedule on
-        # an already-flat profile, which the barrier method only approaches).
-        # The returned point is feasible and at least as good as every solver
-        # result, so a converged run's certificate carries over.
-        for c in sorted((c for c in candidates if c["priority"] == 0),
-                        key=lambda c: c["obj"]):
-            if c["converged"]:
-                converged = True
-                residual = c["residual"]
-                break
-
-    schedule = StorageSchedule.from_rates(best["x"], problem.tes)
-    violations = check_schedule(schedule, problem.tes, tol=opts.feasibility_tol)
+    schedule = StorageSchedule.from_rates(best, tes)
+    violations = check_schedule(schedule, tes, tol=opts.feasibility_tol)
     if violations:
         raise InfeasibleStartError(
             "solver returned an infeasible schedule: "
             + "; ".join(str(v) for v in violations))
-    _, _, p_ch = _power_arrays(best["x"], problem)
+    _, _, p_ch = _power_arrays(best, problem)
     return OptimalSchedule(
         schedule=schedule,
-        objective=best["obj"],
+        objective=best_obj,
         p_ch=p_ch,
         generation=problem.p_base + p_ch,
-        iterations=total_iters,
-        converged=converged and not budget_note,
-        first_order_residual=residual,
-        message=budget_note or best["message"],
+        iterations=int(res.nit),
+        converged=res.status == 0,
+        message=str(res.message),
     )
 
 

@@ -7,6 +7,7 @@ float formatting) so that two identical runs produce byte-identical files.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -23,6 +24,11 @@ REPORT_HEADER = ("timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c,"
 
 SCHEDULE_HEADER = "timestamp,q_stor_mw,e_stor_end_mwh"
 
+#: A `day k:` summary line; older summaries carry extra fields before p_mean.
+_DAY_LINE = re.compile(
+    r"^day (\d+): objective = (\S+) MW\^2, iterations = (\d+), "
+    r"converged = (True|False), (?:.*, )?p_mean = (\S+) \((\S+)\)$", re.MULTILINE)
+
 
 @dataclass(frozen=True)
 class SolverStats:
@@ -30,7 +36,6 @@ class SolverStats:
     objective: float
     iterations: int
     converged: bool
-    first_order_residual: float | None
     p_mean: float
     p_mean_mode: str
 
@@ -86,12 +91,9 @@ class RunReport:
             f"near_threshold_hours = {self.near_threshold_hours}",
         ]
         for s in self.solver_stats:
-            residual = "none" if s.first_order_residual is None \
-                else f"{s.first_order_residual:.3e}"
             lines.append(
                 f"day {s.day}: objective = {s.objective:.4f} MW^2, "
                 f"iterations = {s.iterations}, converged = {s.converged}, "
-                f"first_order_residual = {residual}, "
                 f"p_mean = {s.p_mean:.3f} ({s.p_mean_mode})")
         return lines
 
@@ -156,7 +158,6 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
     stats = [SolverStats(
         day=d.day, objective=d.optimal.objective,
         iterations=d.optimal.iterations, converged=d.optimal.converged,
-        first_order_residual=d.optimal.first_order_residual,
         p_mean=d.p_mean, p_mean_mode=d.p_mean_mode) for d in day_results]
 
     return report_from_arrays(
@@ -193,14 +194,25 @@ def load_report_table(path: str) -> dict:
     return table
 
 
+def _read_solver_stats(path: str) -> list[SolverStats]:
+    """The `day k:` lines of a summary file, or none if it does not exist."""
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as fh:
+        return [SolverStats(int(m[1]), float(m[2]), int(m[3]), m[4] == "True",
+                            float(m[5]), m[6]) for m in _DAY_LINE.finditer(fh.read())]
+
+
 def rebuild_report(run_dir: str, plant: PlantConfig) -> RunReport:
-    """Reconstruct a report (minus solver stats) from an emitted report.csv."""
+    """Reconstruct a report from an emitted report.csv, with the solver stats
+    of the run's summary.txt."""
     table = load_report_table(os.path.join(run_dir, "report.csv"))
     return report_from_arrays(
         table["timestamp"], table["p_base_mw"], table["q_cool_mw"],
         table["q_steam_mw"], table["twb_c"], table["no_storage_mw"],
         table["baseline_mw"], table["optimized_mw"], table["q_stor_mw"],
-        table["e_stor_end_mwh"], table["p_ch_mw"], plant, solver_stats=[])
+        table["e_stor_end_mwh"], table["p_ch_mw"], plant,
+        _read_solver_stats(os.path.join(run_dir, "summary.txt")))
 
 
 def write_report_csv(report: RunReport, path: str) -> None:

@@ -84,11 +84,6 @@ def build_problems(scenario: Scenario,
     return problems
 
 
-def _solve_one(args: tuple[ScheduleProblem, SolverOptions]) -> OptimalSchedule:
-    problem, opts = args
-    return solve(problem, opts)
-
-
 def run_days(scenario: Scenario,
              plant: PlantConfig,
              cop_model: CopModel,
@@ -101,12 +96,12 @@ def run_days(scenario: Scenario,
     n = len(problems)
     n_workers = worker_count(n, workers)
 
-    jobs = [(p, opts) for p, _ in problems]
+    day_problems = [p for p, _ in problems]
     if n_workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_solve_one, jobs))
+            results = list(pool.map(solve, day_problems, [opts] * n))
     else:
-        results = [_solve_one(job) for job in jobs]
+        results = [solve(p, opts) for p in day_problems]
 
     days = split_days(scenario)
     out = []

@@ -279,7 +279,7 @@ def generate_synthetic(params: SynthParams = SynthParams(),
 
     try:
         g = no_storage_baseline(scenario, cop_model, plant, tes)
-    except (ChillerCapacityError, DegenerateCopError) as exc:
+    except (ChillerCapacityError, DegenerateCopError, InfeasibleDemandError) as exc:
         raise SynthesisError(f"synthetic parameters are infeasible: {exc}") from exc
     if float(np.max(g)) > plant.cap_total:
         raise SynthesisError(

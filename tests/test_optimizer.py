@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import gridshave
 
 from gridshave.cooling import DEFAULT_COP_MODEL, TesConfig, check_schedule
 from gridshave.errors import GridResourceError, InfeasibleStartError, ShapeError
@@ -183,13 +189,12 @@ def test_solve_ramp_start_when_boundaries_differ():
     assert res.schedule.e_stor[-1] == pytest.approx(150.0, abs=1e-6)
 
 
-def test_solve_function_budget_returns_best_start(first_day_problem):
-    opts = SolverOptions(max_function_evals=3)
-    res = solve(first_day_problem, opts)
-    assert not res.converged
-    assert "budget" in res.message
-    # the fallback is the better of the raw starts, here the heuristic
+def test_solve_iteration_cap_returns_best_start(first_day_problem):
+    res = solve(first_day_problem, SolverOptions(max_iterations=1))
+    assert res.converged is False
+    # the result is never worse than either raw start
     heur = operator_heuristic(first_day_problem)
+    assert res.objective <= objective(np.zeros(24), first_day_problem) + 1e-12
     assert res.objective <= objective(heur.q_stor, first_day_problem) + 1e-12
 
 
@@ -359,15 +364,32 @@ def test_schedule_problem_validation():
 def test_solver_options_defaults():
     opts = SolverOptions()
     assert opts.max_iterations == 100_000
-    assert opts.max_function_evals == 100_000
     assert opts.feasibility_tol == 1e-6
     assert opts.optimality_tol == 1e-8
 
 
 def test_solver_options_round_trip(tmp_path):
-    opts = SolverOptions(max_iterations=5000, max_function_evals=6000,
-                         feasibility_tol=1e-7, optimality_tol=1e-9,
-                         initial_tr_radius=2.0, initial_barrier_parameter=0.2)
+    opts = SolverOptions(max_iterations=5000, feasibility_tol=1e-7, optimality_tol=1e-9)
     path = tmp_path / "solver.cfg"
     opts.save(str(path))
     assert SolverOptions.load(str(path)) == opts
+
+
+def test_solver_options_load_ignores_retired_keys(tmp_path):
+    path = tmp_path / "solver.cfg"
+    path.write_text("max_iterations = 5000\n"
+                    "max_function_evals = 6000\n"
+                    "feasibility_tol = 1e-07\n"
+                    "optimality_tol = 1e-09\n"
+                    "initial_tr_radius = 2.0\n"
+                    "initial_barrier_parameter = 0.2\n")
+    assert SolverOptions.load(str(path)) == SolverOptions(
+        max_iterations=5000, feasibility_tol=1e-7, optimality_tol=1e-9)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(gridshave.__file__))
+    code = "import sys, gridshave; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -190,6 +190,21 @@ def test_cli_simulate_and_report(tmp_path):
     assert os.path.exists(os.path.join(run_dir, "profile.svg"))
 
 
+def test_cli_report_keeps_summary_byte_identical(tmp_path):
+    scenario_path = str(tmp_path / "scenario.csv")
+    run_dir = str(tmp_path / "run")
+    summary_path = os.path.join(run_dir, "summary.txt")
+    assert cli_main(["synth", "--out", scenario_path]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", run_dir,
+                     "--workers", "1"]) == 0
+    with open(summary_path, "rb") as fh:
+        written = fh.read()
+    assert cli_main(["report", "--run", run_dir]) == 0
+    with open(summary_path, "rb") as fh:
+        assert fh.read() == written
+    assert written.count(b"\nday ") == 3
+
+
 def test_cli_unknown_flag_exits_1():
     assert cli_main(["optimize", "--bogus"]) == 1
 
@@ -211,7 +226,7 @@ def test_cli_row_error_reported(tmp_path, capsys):
 def test_cli_non_convergence_exit_code(tmp_path):
     scenario_path = str(tmp_path / "day.csv")
     solver_path = str(tmp_path / "solver.cfg")
-    SolverOptions(max_function_evals=3).save(solver_path)
+    SolverOptions(max_iterations=1).save(solver_path)
     assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
     code = cli_main(["optimize", "--scenario", scenario_path,
                      "--out", str(tmp_path / "run"), "--solver", solver_path,

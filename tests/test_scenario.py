@@ -140,6 +140,11 @@ def test_synthetic_infeasible_params_rejected():
         generate_synthetic(SynthParams(days=1, cool_peak_amp_mw=120.0), seed=1)
 
 
+def test_synthetic_capacity_overrun_is_synthesis_error():
+    with pytest.raises(SynthesisError, match="hour 15: no-storage generation"):
+        generate_synthetic(SynthParams(days=3), seed=4)
+
+
 def test_synthetic_embeds_seed(synth_scenario):
     assert synth_scenario.seed == 1
     assert synth_scenario.source == "synthetic"

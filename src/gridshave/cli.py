@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
     p_opt.add_argument("--p-mean-mode", choices=["previous-day", "same-day"],
                        default="previous-day")
     p_opt.add_argument("--workers", type=int, default=None,
-                       help="max concurrent day solves (also capped by GRIDSHAVE_THREADS)")
+                       help="ignored: the days are solved one after the other")
 
     p_sim = subs.add_parser("simulate", help="evaluate a fixed schedule")
     p_sim.add_argument("--scenario", required=True)
@@ -136,7 +136,7 @@ def _cmd_optimize(args) -> int:
     plant, cop_model, tes, opts = _load_configs(args)
     scenario = load_scenario(args.scenario)
     results = run_days(scenario, plant, cop_model, tes, opts,
-                       p_mean_mode=args.p_mean_mode, workers=args.workers)
+                       p_mean_mode=args.p_mean_mode)
     report = build_report(scenario, results, plant)
     paths = write_run_outputs(report, args.out)
     for line in report.summary_lines():

@@ -29,6 +29,10 @@ class ChillerCapacityError(GridShaveError):
     """Requested chiller output exceeds nominal cooling capacity."""
 
 
+class InfeasibleScheduleError(GridShaveError):
+    """A given storage schedule breaks a rate, tank or terminal-state limit."""
+
+
 class InfeasibleDischargeError(GridShaveError):
     """Storage discharge exceeds the cooling demand it could serve."""
 

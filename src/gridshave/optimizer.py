@@ -24,7 +24,7 @@ chain, so backward induction is exact on the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .errors import (
     InfeasibleStartError,
     ShapeError,
 )
-from .plant import DEFAULT_PLANT, PlantConfig
 
 HOURS_PER_DAY = 24
 
@@ -64,7 +63,6 @@ class ScheduleProblem:
     p_mean: float           # MW, flat generation target
     tes: TesConfig
     cop_model: CopModel
-    plant: PlantConfig = field(default_factory=lambda: DEFAULT_PLANT)
 
     def __post_init__(self):
         for name in ("p_base", "q_cool", "q_s_c", "twb"):

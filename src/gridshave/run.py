@@ -1,5 +1,5 @@
-"""Multi-day runs: build one problem per day, solve them (optionally in
-parallel), and collect the heuristic and no-storage references.
+"""Multi-day runs: build one problem per day, solve the days in turn, and
+collect the heuristic and no-storage references.
 
 Days decouple completely because the tank must return to its terminal state
 at each midnight, so a 72-hour scenario is exactly three independent 24-hour
@@ -10,14 +10,12 @@ and is flagged.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cooling import CopModel, StorageSchedule, TesConfig, check_schedule
-from .errors import ShapeError
+from .errors import InfeasibleScheduleError, ShapeError
 from .optimizer import (
     OptimalSchedule,
     ScheduleProblem,
@@ -30,28 +28,16 @@ from .optimizer import (
 from .plant import PlantConfig
 from .scenario import HOURS_PER_DAY, Scenario, no_storage_baseline, split_days
 
-THREADS_ENV_VAR = "GRIDSHAVE_THREADS"
-
 
 @dataclass(frozen=True)
 class DayResult:
     day: int
     problem: ScheduleProblem
     optimal: OptimalSchedule
-    heuristic_q_stor: np.ndarray
     heuristic_generation: np.ndarray
     no_storage_generation: np.ndarray
     p_mean: float
     p_mean_mode: str        # "previous-day" or "same-day"
-
-
-def worker_count(n_tasks: int, requested: int | None = None) -> int:
-    """Workers to use, capped by the GRIDSHAVE_THREADS environment variable."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if requested is not None:
-        limit = min(limit, requested)
-    return max(1, min(n_tasks, limit))
 
 
 def build_problems(scenario: Scenario,
@@ -77,11 +63,26 @@ def build_problems(scenario: Scenario,
         problems.append((
             ScheduleProblem(
                 p_base=day.p_base, q_cool=day.q_cool, q_s_c=day.q_s_c,
-                twb=day.twb, p_mean=target, tes=tes, cop_model=cop_model,
-                plant=plant),
+                twb=day.twb, p_mean=target, tes=tes, cop_model=cop_model),
             mode,
         ))
     return problems
+
+
+def _day_results(problems: list[tuple[ScheduleProblem, str]],
+                 schedules: list[OptimalSchedule]) -> list[DayResult]:
+    """Pair each day's schedule with the operator heuristic's and the idle
+    tank's generation."""
+    out = []
+    for k, ((problem, mode), optimal) in enumerate(zip(problems, schedules)):
+        heuristic = operator_heuristic(problem)
+        out.append(DayResult(
+            day=k, problem=problem, optimal=optimal,
+            heuristic_generation=generation_profile(heuristic.q_stor, problem),
+            no_storage_generation=generation_profile(np.zeros(problem.horizon), problem),
+            p_mean=problem.p_mean, p_mean_mode=mode,
+        ))
+    return out
 
 
 def run_days(scenario: Scenario,
@@ -89,32 +90,10 @@ def run_days(scenario: Scenario,
              cop_model: CopModel,
              tes: TesConfig,
              opts: SolverOptions = SolverOptions(),
-             p_mean_mode: str = "previous-day",
-             workers: int | None = None) -> list[DayResult]:
-    """Solve every day of the scenario; fan out to processes when workers > 1."""
+             p_mean_mode: str = "previous-day") -> list[DayResult]:
+    """Solve every day of the scenario, one after the other."""
     problems = build_problems(scenario, plant, cop_model, tes, p_mean_mode)
-    n = len(problems)
-    n_workers = worker_count(n, workers)
-
-    day_problems = [p for p, _ in problems]
-    if n_workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(solve, day_problems, [opts] * n))
-    else:
-        results = [solve(p, opts) for p in day_problems]
-
-    days = split_days(scenario)
-    out = []
-    for k, ((problem, mode), optimal) in enumerate(zip(problems, results)):
-        heuristic = operator_heuristic(problem)
-        out.append(DayResult(
-            day=k, problem=problem, optimal=optimal,
-            heuristic_q_stor=heuristic.q_stor,
-            heuristic_generation=generation_profile(heuristic.q_stor, problem),
-            no_storage_generation=no_storage_baseline(days[k], cop_model, plant, tes),
-            p_mean=problem.p_mean, p_mean_mode=mode,
-        ))
-    return out
+    return _day_results(problems, [solve(p, opts) for p, _ in problems])
 
 
 def evaluate_fixed_schedule(scenario: Scenario,
@@ -123,34 +102,29 @@ def evaluate_fixed_schedule(scenario: Scenario,
                             cop_model: CopModel,
                             tes: TesConfig,
                             p_mean_mode: str = "previous-day") -> list[DayResult]:
-    """Like run_days but with a given schedule instead of an optimized one."""
+    """Like run_days but with a given schedule instead of an optimized one.
+
+    Raises InfeasibleScheduleError, naming the day, when the schedule breaks
+    a rate, tank or terminal-state limit.
+    """
     q = np.asarray(q_stor, dtype=float)
     if q.shape != (len(scenario),):
         raise ShapeError(
             f"schedule length {q.shape} does not match scenario length {len(scenario)}")
     problems = build_problems(scenario, plant, cop_model, tes, p_mean_mode)
-    days = split_days(scenario)
-    out = []
-    for k, (problem, mode) in enumerate(problems):
+    fixed = []
+    for k, (problem, _) in enumerate(problems):
         day_q = q[k * HOURS_PER_DAY:(k + 1) * HOURS_PER_DAY]
         schedule = StorageSchedule.from_rates(day_q, tes)
         violations = check_schedule(schedule, tes)
         if violations:
-            raise ShapeError(
+            raise InfeasibleScheduleError(
                 f"day {k}: fixed schedule infeasible: "
                 + "; ".join(str(v) for v in violations))
         generation = generation_profile(day_q, problem)
-        fixed = OptimalSchedule(
+        fixed.append(OptimalSchedule(
             schedule=schedule, objective=objective(day_q, problem),
             p_ch=generation - problem.p_base, generation=generation,
             iterations=0, converged=True, message="fixed schedule",
-        )
-        heuristic = operator_heuristic(problem)
-        out.append(DayResult(
-            day=k, problem=problem, optimal=fixed,
-            heuristic_q_stor=heuristic.q_stor,
-            heuristic_generation=generation_profile(heuristic.q_stor, problem),
-            no_storage_generation=no_storage_baseline(days[k], cop_model, plant, tes),
-            p_mean=problem.p_mean, p_mean_mode=mode,
         ))
-    return out
+    return _day_results(problems, fixed)

@@ -21,11 +21,13 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power
+from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power, cop_values
 from .errors import (
     ChillerCapacityError,
+    CopDomainError,
     DegenerateCopError,
     InfeasibleDemandError,
+    InfeasibleDischargeError,
     ScenarioParseError,
     ShapeError,
     SynthesisError,
@@ -129,8 +131,9 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"{path}: no data rows")
 
     timestamps: list[datetime] = []
-    cols = {name: [] for name in ("p_base", "q_cool", "q_s_c", "twb")}
-    nonneg = {"p_base": "p_base_mw", "q_cool": "q_cool_mw", "q_s_c": "q_steam_mw"}
+    columns = {"p_base": "p_base_mw", "q_cool": "q_cool_mw", "q_s_c": "q_steam_mw",
+               "twb": "twb_c"}
+    cols = {name: [] for name in columns}
     for row_no, line in enumerate(rows, start=1):
         cells = line.split(",")
         if len(cells) != 5:
@@ -142,15 +145,18 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioParseError(
                 f"{path}: row {row_no}: bad timestamp {cells[0]!r}", row=row_no) from exc
         values = {}
-        for name, cell in zip(("p_base", "q_cool", "q_s_c", "twb"), cells[1:]):
+        for (name, column), cell in zip(columns.items(), cells[1:]):
             try:
                 values[name] = float(cell)
             except ValueError as exc:
                 raise ScenarioParseError(
                     f"{path}: row {row_no}: non-numeric cell {cell!r}",
                     row=row_no) from exc
-        for name, column in nonneg.items():
-            if values[name] < 0.0:
+            if not math.isfinite(values[name]):
+                raise ScenarioParseError(
+                    f"{path}: row {row_no}: {column} = {values[name]} is not finite",
+                    row=row_no)
+            if name != "twb" and values[name] < 0.0:
                 raise ScenarioParseError(
                     f"{path}: row {row_no}: {column} = {values[name]} is negative",
                     row=row_no)
@@ -292,16 +298,28 @@ def no_storage_baseline(scenario: Scenario,
                         cop_model: CopModel = DEFAULT_COP_MODEL,
                         plant: PlantConfig = DEFAULT_PLANT,
                         tes: TesConfig = DEFAULT_TES) -> np.ndarray:
-    """Generation profile with the tank idle: G(t) = p_base + chiller power."""
-    g = np.empty(len(scenario))
-    for t in range(len(scenario)):
+    """Generation profile with the tank idle: G(t) = p_base + chiller power.
+
+    One numpy pass with the arithmetic of `chiller_power`. The first hour at
+    fault raises the error `chiller_power` gives for it, prefixed `hour t:`,
+    or InfeasibleDemandError when generation exceeds the total capacity.
+    """
+    q, twb, m = scenario.q_cool, scenario.twb, cop_model
+    cop = cop_values(q / tes.q_ch_max, twb, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = scenario.p_base + q / cop
+    # the conditions under which chiller_power raises
+    chiller_fault = ~((q >= 0.0) & (q <= tes.q_ch_max) & (twb >= m.twb_min)
+                      & (twb <= m.twb_max) & (cop > m.cop_floor))
+    bad = np.flatnonzero(chiller_fault | (g > plant.cap_total + 1e-9))
+    if bad.size:
+        t = int(bad[0])
         try:
-            p_ch = chiller_power(scenario.q_cool[t], scenario.twb[t], cop_model, tes)
-        except (ChillerCapacityError, DegenerateCopError) as exc:
+            chiller_power(q[t], twb[t], m, tes)
+        except (InfeasibleDischargeError, ChillerCapacityError, CopDomainError,
+                DegenerateCopError) as exc:
             raise type(exc)(f"hour {t}: {exc}") from exc
-        g[t] = scenario.p_base[t] + p_ch
-        if g[t] > plant.cap_total + 1e-9:
-            raise InfeasibleDemandError(
-                f"hour {t}: no-storage generation {g[t]:.2f} MW exceeds total "
-                f"capacity {plant.cap_total} MW")
+        raise InfeasibleDemandError(
+            f"hour {t}: no-storage generation {g[t]:.2f} MW exceeds total "
+            f"capacity {plant.cap_total} MW")
     return g

@@ -393,3 +393,12 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_process_pool_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(gridshave.__file__))
+    code = ("import sys, gridshave; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,13 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import gridshave.run
 from gridshave.cli import cli_main
 from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel
+from gridshave.errors import InfeasibleScheduleError
 from gridshave.optimizer import SolverOptions, objective, solve
 from gridshave.plant import DEFAULT_PLANT, fuel_savings
 from gridshave.report import (
@@ -14,13 +17,12 @@ from gridshave.report import (
     rebuild_report,
     write_run_outputs,
 )
-from gridshave.run import build_problems, evaluate_fixed_schedule, run_days, worker_count
+from gridshave.run import build_problems, evaluate_fixed_schedule, run_days
 
 
 @pytest.fixture(scope="module")
 def run_results(synth_scenario):
-    return run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES,
-                    workers=1)
+    return run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
 
 
 @pytest.fixture(scope="module")
@@ -114,28 +116,32 @@ def test_daily_decomposition_matches_solo_solves(synth_scenario, run_results):
         assert np.array_equal(solo.schedule.q_stor, day.optimal.schedule.q_stor)
 
 
-def test_parallel_run_matches_sequential(synth_scenario, run_results):
-    parallel = run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL,
-                        DEFAULT_TES, workers=3)
-    for a, b in zip(run_results, parallel):
-        assert np.array_equal(a.optimal.schedule.q_stor, b.optimal.schedule.q_stor)
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("GRIDSHAVE_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("GRIDSHAVE_THREADS", "16")
-    assert worker_count(3) == 3
-    monkeypatch.delenv("GRIDSHAVE_THREADS")
-    assert worker_count(1) == 1
-
-
 def test_evaluate_fixed_schedule_matches_optimized(synth_scenario, run_results):
     q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
     fixed = evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT,
                                     DEFAULT_COP_MODEL, DEFAULT_TES)
     for a, b in zip(run_results, fixed):
         assert b.optimal.objective == pytest.approx(a.optimal.objective, rel=1e-12)
+
+
+def test_days_split_and_baselined_once(monkeypatch, synth_scenario, run_results):
+    split = mock.Mock(wraps=gridshave.run.split_days)
+    baseline = mock.Mock(wraps=gridshave.run.no_storage_baseline)
+    monkeypatch.setattr(gridshave.run, "split_days", split)
+    monkeypatch.setattr(gridshave.run, "no_storage_baseline", baseline)
+    run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
+    assert (split.call_count, baseline.call_count) == (1, 3)
+    q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
+    evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
+    assert (split.call_count, baseline.call_count) == (2, 6)
+
+
+def test_evaluate_fixed_schedule_infeasible_names_day(synth_scenario):
+    q = np.zeros(len(synth_scenario))
+    q[30] = 40.0   # day 1, beyond the rate limit and the terminal state
+    with pytest.raises(InfeasibleScheduleError, match="^day 1: fixed schedule infeasible"):
+        evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT,
+                                DEFAULT_COP_MODEL, DEFAULT_TES)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +151,7 @@ def test_cli_synth_and_optimize(tmp_path, capsys):
     scenario_path = str(tmp_path / "day.csv")
     out_dir = str(tmp_path / "run")
     assert cli_main(["synth", "--out", scenario_path, "--days", "3", "--seed", "1"]) == 0
-    assert cli_main(["optimize", "--scenario", scenario_path, "--out", out_dir,
-                     "--workers", "1"]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", out_dir]) == 0
     for name in ("schedule.csv", "report.csv", "profile.svg", "summary.txt"):
         assert os.path.exists(os.path.join(out_dir, name))
     captured = capsys.readouterr()
@@ -179,8 +184,7 @@ def test_cli_simulate_and_report(tmp_path):
     run_dir = str(tmp_path / "run")
     sim_dir = str(tmp_path / "sim")
     assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
-    assert cli_main(["optimize", "--scenario", scenario_path, "--out", run_dir,
-                     "--workers", "1"]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", run_dir]) == 0
     assert cli_main(["simulate", "--scenario", scenario_path,
                      "--schedule", os.path.join(run_dir, "schedule.csv"),
                      "--out", sim_dir]) == 0
@@ -195,14 +199,35 @@ def test_cli_report_keeps_summary_byte_identical(tmp_path):
     run_dir = str(tmp_path / "run")
     summary_path = os.path.join(run_dir, "summary.txt")
     assert cli_main(["synth", "--out", scenario_path]) == 0
-    assert cli_main(["optimize", "--scenario", scenario_path, "--out", run_dir,
-                     "--workers", "1"]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", run_dir]) == 0
     with open(summary_path, "rb") as fh:
         written = fh.read()
     assert cli_main(["report", "--run", run_dir]) == 0
     with open(summary_path, "rb") as fh:
         assert fh.read() == written
     assert written.count(b"\nday ") == 3
+
+
+def test_cli_workers_flag_is_ignored(tmp_path):
+    scenario_path = str(tmp_path / "scenario.csv")
+    assert cli_main(["synth", "--out", scenario_path]) == 0
+    for name, extra in (("plain", []), ("workers", ["--workers", "2"])):
+        assert cli_main(["optimize", "--scenario", scenario_path,
+                         "--out", str(tmp_path / name)] + extra) == 0
+    for name in ("schedule.csv", "report.csv", "profile.svg", "summary.txt"):
+        assert (tmp_path / "workers" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
+def test_cli_simulate_infeasible_schedule_exits_1(tmp_path, capsys):
+    scenario_path = str(tmp_path / "day.csv")
+    schedule = tmp_path / "schedule.csv"
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
+    rows = [f"2023-06-12T{h:02d}:00:00,{40.0 if h == 3 else 0.0},0.0" for h in range(24)]
+    schedule.write_text("timestamp,q_stor_mw,e_stor_end_mwh\n" + "\n".join(rows) + "\n")
+    assert cli_main(["simulate", "--scenario", scenario_path, "--schedule", str(schedule),
+                     "--out", str(tmp_path / "sim")]) == 1
+    assert "day 0: fixed schedule infeasible" in capsys.readouterr().err
 
 
 def test_cli_unknown_flag_exits_1():
@@ -229,8 +254,7 @@ def test_cli_non_convergence_exit_code(tmp_path):
     SolverOptions(max_iterations=1).save(solver_path)
     assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
     code = cli_main(["optimize", "--scenario", scenario_path,
-                     "--out", str(tmp_path / "run"), "--solver", solver_path,
-                     "--workers", "1"])
+                     "--out", str(tmp_path / "run"), "--solver", solver_path])
     assert code == 2
 
 
@@ -245,4 +269,4 @@ def test_cli_config_round_trip_through_optimize(tmp_path):
     assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
     assert cli_main(["optimize", "--scenario", scenario_path,
                      "--plant", plant_path, "--cop", cop_path, "--tes", tes_path,
-                     "--out", str(tmp_path / "run"), "--workers", "1"]) == 0
+                     "--out", str(tmp_path / "run")]) == 0

@@ -3,9 +3,12 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from gridshave.cooling import chiller_power
 from gridshave.errors import (
     ChillerCapacityError,
+    CopDomainError,
     InfeasibleDemandError,
+    InfeasibleDischargeError,
     ScenarioParseError,
     ShapeError,
     SynthesisError,
@@ -105,6 +108,21 @@ def test_load_non_numeric_cell(tmp_path):
     assert exc_info.value.row == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["p_base_mw", "q_cool_mw", "q_steam_mw", "twb_c"])
+def test_load_non_finite_cell_cites_row(tmp_path, column, value):
+    cells = {"p_base_mw": "30", "q_cool_mw": "80", "q_steam_mw": "10", "twb_c": "20"}
+    cells[column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text("timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c\n"
+                    "2023-09-10T00:00:00,30,80,10,20\n"
+                    "2023-09-10T01:00:00," + ",".join(cells.values()) + "\n")
+    with pytest.raises(ScenarioParseError, match=f"row 2: {column} = {value} is not finite") \
+            as exc_info:
+        load_scenario(str(path))
+    assert exc_info.value.row == 2
+
+
 def test_load_missing_file():
     with pytest.raises(ScenarioParseError):
         load_scenario("/nonexistent/file.csv")
@@ -184,6 +202,32 @@ def test_no_storage_baseline_demand_error_names_hour():
     with pytest.raises(InfeasibleDemandError) as exc_info:
         no_storage_baseline(scenario)
     assert "hour 3" in str(exc_info.value)
+
+
+def test_no_storage_baseline_wet_bulb_error_names_hour():
+    scenario = _toy_scenario(24)
+    scenario.twb[5] = 35.0
+    with pytest.raises(CopDomainError) as exc_info:
+        no_storage_baseline(scenario)
+    assert str(exc_info.value).startswith("hour 5:")
+
+
+def test_no_storage_baseline_reports_first_faulty_hour():
+    scenario = _toy_scenario(24)
+    scenario.p_base[3] = 60.0
+    scenario.q_cool[9] = 170.0
+    with pytest.raises(InfeasibleDemandError, match="^hour 3:"):
+        no_storage_baseline(scenario)
+    scenario.q_cool[2] = -1.0
+    with pytest.raises(InfeasibleDischargeError, match="^hour 2:"):
+        no_storage_baseline(scenario)
+
+
+def test_no_storage_baseline_equals_per_hour_loop():
+    scenario = _toy_scenario(72)
+    loop = np.array([p + chiller_power(q, w) for p, q, w in
+                     zip(scenario.p_base, scenario.q_cool, scenario.twb)])
+    assert np.array_equal(no_storage_baseline(scenario), loop)
 
 
 def test_no_storage_peak_above_heuristic_peak(first_day_problem):

@@ -125,6 +125,7 @@ class OptimalSchedule:
     converged: bool
     grid_error_bound: float | None = None
     message: str = ""
+    heuristic: StorageSchedule | None = None   # operator heuristic (24-hour days)
 
 
 def p_mean(prev_day_generation) -> float:
@@ -329,10 +330,9 @@ def solve(problem: ScheduleProblem,
     # restore the terminal state exactly; the uniform shift is orders of
     # magnitude below feasibility_tol and keeps all other limits within it
     candidates = [x + (delta - float(np.sum(x))) / T, x0]
-    if T == HOURS_PER_DAY:
-        heur = operator_heuristic(problem)
-        if not check_schedule(heur, tes, tol=opts.feasibility_tol):
-            candidates.append(heur.q_stor)
+    heur = operator_heuristic(problem) if T == HOURS_PER_DAY else None
+    if heur is not None and not check_schedule(heur, tes, tol=opts.feasibility_tol):
+        candidates.append(heur.q_stor)
     best_obj, best = min(((objective(q, problem), q) for q in candidates),
                          key=lambda c: c[0])
 
@@ -351,6 +351,7 @@ def solve(problem: ScheduleProblem,
         iterations=int(res.nit),
         converged=res.status == 0,
         message=str(res.message),
+        heuristic=heur,
     )
 
 

@@ -43,8 +43,7 @@ class EfficiencyCurve:
     """Component efficiency as an affine function of load fraction.
 
     value(x) = intercept + slope * x for x in [0, 1]. A zero slope gives a
-    constant efficiency. Instances are picklable, which plain lambdas are
-    not; that matters for the multi-day worker pool.
+    constant efficiency.
     """
 
     intercept: float

@@ -8,13 +8,13 @@ underestimates the measurement comes out positive.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cooling import CopModel
-from .errors import MetricUndefinedError, ScenarioParseError, ShapeError, SingularFitError
+from .errors import MetricUndefinedError, ShapeError, SingularFitError
+from .tableio import read_table, write_table
 
 BASIS_NAMES = ("1", "plr", "twb", "plr^2", "twb*plr", "twb^2")
 
@@ -159,33 +159,10 @@ def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
 
 def load_samples(path: str, provenance: str = "measured") -> SampleSet:
     """Read a sample CSV with header `plr,twb_c,cop`."""
-    if not os.path.exists(path):
-        raise ScenarioParseError(f"samples file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0].strip() != SAMPLES_HEADER:
-        raise ScenarioParseError(
-            f"{path}: expected header {SAMPLES_HEADER!r}, got {lines[0]!r}" if lines
-            else f"{path}: empty file")
-    plr, twb, cop_vals = [], [], []
-    for row_no, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ScenarioParseError(f"{path}: row {row_no}: expected 3 columns", row=row_no)
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ScenarioParseError(
-                f"{path}: row {row_no}: non-numeric cell", row=row_no) from exc
-        plr.append(values[0])
-        twb.append(values[1])
-        cop_vals.append(values[2])
-    return SampleSet(plr=np.array(plr), twb=np.array(twb), cop=np.array(cop_vals),
+    table, _ = read_table(path, SAMPLES_HEADER, "samples")
+    return SampleSet(plr=table["plr"], twb=table["twb_c"], cop=table["cop"],
                      provenance=provenance)
 
 
 def save_samples(samples: SampleSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SAMPLES_HEADER + "\n")
-        for p, t, c in zip(samples.plr, samples.twb, samples.cop):
-            fh.write(f"{float(p)!r},{float(t)!r},{float(c)!r}\n")
+    write_table(path, SAMPLES_HEADER, [samples.plr, samples.twb, samples.cop])

@@ -13,10 +13,11 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import ScenarioParseError, ShapeError
+from .errors import ShapeError
 from .plant import PlantConfig, fuel_savings
 from .run import DayResult
 from .scenario import Scenario
+from .tableio import read_table, write_table
 
 REPORT_HEADER = ("timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c,"
                  "no_storage_mw,baseline_mw,optimized_mw,"
@@ -168,30 +169,7 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
 
 def load_report_table(path: str) -> dict:
     """Read a report CSV back into column arrays (keys match the header)."""
-    if not os.path.exists(path):
-        raise ScenarioParseError(f"report file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ScenarioParseError(f"{path}: expected header {REPORT_HEADER!r}")
-    names = REPORT_HEADER.split(",")
-    table: dict = {name: [] for name in names}
-    for row_no, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ScenarioParseError(
-                f"{path}: row {row_no}: expected {len(names)} columns", row=row_no)
-        table["timestamp"].append(datetime.fromisoformat(cells[0]))
-        for name, cell in zip(names[1:], cells[1:]):
-            try:
-                table[name].append(float(cell))
-            except ValueError as exc:
-                raise ScenarioParseError(
-                    f"{path}: row {row_no}: non-numeric cell {cell!r}",
-                    row=row_no) from exc
-    for name in names[1:]:
-        table[name] = np.array(table[name])
-    return table
+    return read_table(path, REPORT_HEADER, "report")[0]
 
 
 def _read_solver_stats(path: str) -> list[SolverStats]:
@@ -216,53 +194,21 @@ def rebuild_report(run_dir: str, plant: PlantConfig) -> RunReport:
 
 
 def write_report_csv(report: RunReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for i, ts in enumerate(report.timestamps):
-            fh.write(",".join([
-                ts.isoformat(),
-                f"{report.p_base[i]:.6f}",
-                f"{report.q_cool[i]:.6f}",
-                f"{report.q_s_c[i]:.6f}",
-                f"{report.twb[i]:.6f}",
-                f"{report.no_storage[i]:.6f}",
-                f"{report.baseline[i]:.6f}",
-                f"{report.optimized[i]:.6f}",
-                f"{report.q_stor[i]:.6f}",
-                f"{report.e_stor_end[i]:.6f}",
-                f"{report.p_ch[i]:.6f}",
-            ]) + "\n")
+    write_table(path, REPORT_HEADER,
+                [report.p_base, report.q_cool, report.q_s_c, report.twb,
+                 report.no_storage, report.baseline, report.optimized,
+                 report.q_stor, report.e_stor_end, report.p_ch],
+                report.timestamps, fmt="{:.6f}".format)
 
 
 def write_schedule_csv(report: RunReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SCHEDULE_HEADER + "\n")
-        for i, ts in enumerate(report.timestamps):
-            fh.write(f"{ts.isoformat()},{float(report.q_stor[i])!r},"
-                     f"{float(report.e_stor_end[i])!r}\n")
+    write_table(path, SCHEDULE_HEADER, [report.q_stor, report.e_stor_end],
+                report.timestamps)
 
 
 def load_schedule_csv(path: str) -> np.ndarray:
     """Hourly q_stor rates from a schedule CSV."""
-    if not os.path.exists(path):
-        raise ScenarioParseError(f"schedule file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != SCHEDULE_HEADER:
-        raise ScenarioParseError(
-            f"{path}: expected header {SCHEDULE_HEADER!r}")
-    rates = []
-    for row_no, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ScenarioParseError(f"{path}: row {row_no}: expected 3 columns",
-                                     row=row_no)
-        try:
-            rates.append(float(cells[1]))
-        except ValueError as exc:
-            raise ScenarioParseError(f"{path}: row {row_no}: non-numeric rate",
-                                     row=row_no) from exc
-    return np.array(rates)
+    return read_table(path, SCHEDULE_HEADER, "schedule")[0]["q_stor_mw"]
 
 
 def write_summary(report: RunReport, path: str) -> None:

@@ -71,14 +71,13 @@ def build_problems(scenario: Scenario,
 
 def _day_results(problems: list[tuple[ScheduleProblem, str]],
                  schedules: list[OptimalSchedule]) -> list[DayResult]:
-    """Pair each day's schedule with the operator heuristic's and the idle
-    tank's generation."""
+    """Pair each day's schedule with the generation of the operator heuristic
+    it carries and of the idle tank."""
     out = []
     for k, ((problem, mode), optimal) in enumerate(zip(problems, schedules)):
-        heuristic = operator_heuristic(problem)
         out.append(DayResult(
             day=k, problem=problem, optimal=optimal,
-            heuristic_generation=generation_profile(heuristic.q_stor, problem),
+            heuristic_generation=generation_profile(optimal.heuristic.q_stor, problem),
             no_storage_generation=generation_profile(np.zeros(problem.horizon), problem),
             p_mean=problem.p_mean, p_mean_mode=mode,
         ))
@@ -126,5 +125,6 @@ def evaluate_fixed_schedule(scenario: Scenario,
             schedule=schedule, objective=objective(day_q, problem),
             p_ch=generation - problem.p_base, generation=generation,
             iterations=0, converged=True, message="fixed schedule",
+            heuristic=operator_heuristic(problem),
         ))
     return _day_results(problems, fixed)

@@ -33,6 +33,7 @@ from .errors import (
     SynthesisError,
 )
 from .plant import DEFAULT_PLANT, PlantConfig
+from .tableio import read_table, write_table
 
 SCENARIO_HEADER = "timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c"
 
@@ -99,69 +100,17 @@ def split_days(scenario: Scenario) -> list[Scenario]:
 
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario CSV; errors carry the offending row."""
-    if not os.path.exists(path):
-        raise ScenarioParseError(f"scenario file not found: {path}")
-    meta = {"name": os.path.splitext(os.path.basename(path))[0],
-            "source": "file", "seed": None}
-    rows: list[str] = []
-    header = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
-                    key, value = key.strip(), value.strip()
-                    if key == "seed":
-                        meta["seed"] = None if value == "none" else int(value)
-                    elif key in ("name", "source"):
-                        meta[key] = value
-                continue
-            if header is None:
-                header = line.strip()
-                continue
-            rows.append(line)
-    if header != SCENARIO_HEADER:
-        raise ScenarioParseError(
-            f"{path}: expected header {SCENARIO_HEADER!r}, got {header!r}")
-    if not rows:
-        raise ScenarioParseError(f"{path}: no data rows")
-
-    timestamps: list[datetime] = []
-    columns = {"p_base": "p_base_mw", "q_cool": "q_cool_mw", "q_s_c": "q_steam_mw",
-               "twb": "twb_c"}
-    cols = {name: [] for name in columns}
-    for row_no, line in enumerate(rows, start=1):
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ScenarioParseError(
-                f"{path}: row {row_no}: expected 5 columns, got {len(cells)}", row=row_no)
-        try:
-            ts = datetime.fromisoformat(cells[0])
-        except ValueError as exc:
-            raise ScenarioParseError(
-                f"{path}: row {row_no}: bad timestamp {cells[0]!r}", row=row_no) from exc
-        values = {}
-        for (name, column), cell in zip(columns.items(), cells[1:]):
-            try:
-                values[name] = float(cell)
-            except ValueError as exc:
+    table, meta = read_table(path, SCENARIO_HEADER, "scenario")
+    timestamps = table["timestamp"]
+    for i, ts in enumerate(timestamps):
+        row_no = i + 1
+        for column in ("p_base_mw", "q_cool_mw", "q_steam_mw"):
+            value = float(table[column][i])
+            if value < 0.0:
                 raise ScenarioParseError(
-                    f"{path}: row {row_no}: non-numeric cell {cell!r}",
-                    row=row_no) from exc
-            if not math.isfinite(values[name]):
-                raise ScenarioParseError(
-                    f"{path}: row {row_no}: {column} = {values[name]} is not finite",
-                    row=row_no)
-            if name != "twb" and values[name] < 0.0:
-                raise ScenarioParseError(
-                    f"{path}: row {row_no}: {column} = {values[name]} is negative",
-                    row=row_no)
-        if timestamps:
-            gap = (ts - timestamps[-1]).total_seconds()
+                    f"{path}: row {row_no}: {column} = {value} is negative", row=row_no)
+        if i:
+            gap = (ts - timestamps[i - 1]).total_seconds()
             if gap <= 0:
                 raise ScenarioParseError(
                     f"{path}: row {row_no}: timestamps not strictly increasing",
@@ -169,17 +118,17 @@ def load_scenario(path: str) -> Scenario:
             if gap != 3600.0:
                 raise ScenarioParseError(
                     f"{path}: row {row_no}: non-hourly gap of {gap:.0f} s", row=row_no)
-        timestamps.append(ts)
-        for name in cols:
-            cols[name].append(values[name])
 
+    seed = meta.get("seed", "none")
     scenario = Scenario(
         timestamps=timestamps,
-        p_base=np.array(cols["p_base"]),
-        q_cool=np.array(cols["q_cool"]),
-        q_s_c=np.array(cols["q_s_c"]),
-        twb=np.array(cols["twb"]),
-        name=meta["name"], source=meta["source"], seed=meta["seed"],
+        p_base=table["p_base_mw"],
+        q_cool=table["q_cool_mw"],
+        q_s_c=table["q_steam_mw"],
+        twb=table["twb_c"],
+        name=meta.get("name", os.path.splitext(os.path.basename(path))[0]),
+        source=meta.get("source", "file"),
+        seed=None if seed == "none" else int(seed),
     )
     log.info(
         "loaded %s: %d hourly rows, p_base %.1f-%.1f MW, q_cool %.1f-%.1f MW, "
@@ -191,19 +140,11 @@ def load_scenario(path: str) -> Scenario:
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# name: {scenario.name}\n")
-        fh.write(f"# source: {scenario.source}\n")
-        fh.write(f"# seed: {'none' if scenario.seed is None else scenario.seed}\n")
-        fh.write(SCENARIO_HEADER + "\n")
-        for i, ts in enumerate(scenario.timestamps):
-            fh.write(",".join([
-                ts.isoformat(),
-                repr(float(scenario.p_base[i])),
-                repr(float(scenario.q_cool[i])),
-                repr(float(scenario.q_s_c[i])),
-                repr(float(scenario.twb[i])),
-            ]) + "\n")
+    write_table(path, SCENARIO_HEADER,
+                [scenario.p_base, scenario.q_cool, scenario.q_s_c, scenario.twb],
+                scenario.timestamps,
+                meta={"name": scenario.name, "source": scenario.source,
+                      "seed": "none" if scenario.seed is None else scenario.seed})
 
 
 @dataclass(frozen=True)

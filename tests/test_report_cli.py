@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import gridshave.optimizer
 import gridshave.run
 from gridshave.cli import cli_main
 from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel
@@ -136,6 +137,17 @@ def test_days_split_and_baselined_once(monkeypatch, synth_scenario, run_results)
     assert (split.call_count, baseline.call_count) == (2, 6)
 
 
+def test_operator_heuristic_runs_once_per_day(monkeypatch, synth_scenario, run_results):
+    heuristic = mock.Mock(wraps=gridshave.optimizer.operator_heuristic)
+    monkeypatch.setattr(gridshave.optimizer, "operator_heuristic", heuristic)
+    monkeypatch.setattr(gridshave.run, "operator_heuristic", heuristic)
+    run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
+    assert heuristic.call_count == 3
+    q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
+    evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
+    assert heuristic.call_count == 6
+
+
 def test_evaluate_fixed_schedule_infeasible_names_day(synth_scenario):
     q = np.zeros(len(synth_scenario))
     q[30] = 40.0   # day 1, beyond the rate limit and the terminal state
@@ -228,6 +240,34 @@ def test_cli_simulate_infeasible_schedule_exits_1(tmp_path, capsys):
     assert cli_main(["simulate", "--scenario", scenario_path, "--schedule", str(schedule),
                      "--out", str(tmp_path / "sim")]) == 1
     assert "day 0: fixed schedule infeasible" in capsys.readouterr().err
+
+
+def test_cli_simulate_non_finite_rate_exits_1(tmp_path, capsys):
+    scenario_path = str(tmp_path / "day.csv")
+    schedule = tmp_path / "schedule.csv"
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
+    rows = [f"2023-06-12T{h:02d}:00:00,{'nan' if h == 3 else 0.0},0.0" for h in range(24)]
+    schedule.write_text("timestamp,q_stor_mw,e_stor_end_mwh\n" + "\n".join(rows) + "\n")
+    assert cli_main(["simulate", "--scenario", scenario_path, "--schedule", str(schedule),
+                     "--out", str(tmp_path / "sim")]) == 1
+    assert "row 4: q_stor_mw = nan is not finite" in capsys.readouterr().err
+
+
+def test_cli_report_non_finite_cell_exits_1(tmp_path, capsys):
+    scenario_path = str(tmp_path / "day.csv")
+    run_dir = tmp_path / "run"
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", str(run_dir)]) == 0
+    lines = (run_dir / "report.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[6] = "nan"    # baseline_mw at hour 4
+    lines[5] = ",".join(cells)
+    (run_dir / "report.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "row 5: baseline_mw = nan is not finite" in captured.err
+    assert "peak_baseline_mw" not in captured.out
 
 
 def test_cli_unknown_flag_exits_1():

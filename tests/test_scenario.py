@@ -13,7 +13,10 @@ from gridshave.errors import (
     ShapeError,
     SynthesisError,
 )
+from gridshave.regression import SAMPLES_HEADER, load_samples
+from gridshave.report import REPORT_HEADER, SCHEDULE_HEADER, load_report_table, load_schedule_csv
 from gridshave.scenario import (
+    SCENARIO_HEADER,
     Scenario,
     SynthParams,
     generate_synthetic,
@@ -108,18 +111,31 @@ def test_load_non_numeric_cell(tmp_path):
     assert exc_info.value.row == 2
 
 
+#: column -> (header, loader) of the table whose cell is made non-finite
+_NON_FINITE_TABLES = {
+    **{c: (SCENARIO_HEADER, load_scenario)
+       for c in ("p_base_mw", "q_cool_mw", "q_steam_mw", "twb_c")},
+    "q_stor_mw": (SCHEDULE_HEADER, load_schedule_csv),
+    "baseline_mw": (REPORT_HEADER, load_report_table),
+    "cop": (SAMPLES_HEADER, load_samples),
+}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("column", ["p_base_mw", "q_cool_mw", "q_steam_mw", "twb_c"])
+@pytest.mark.parametrize("column", list(_NON_FINITE_TABLES))
 def test_load_non_finite_cell_cites_row(tmp_path, column, value):
-    cells = {"p_base_mw": "30", "q_cool_mw": "80", "q_steam_mw": "10", "twb_c": "20"}
-    cells[column] = value
+    header, load = _NON_FINITE_TABLES[column]
+
+    def row(hour, bad):
+        return ",".join(f"2023-09-10T{hour:02d}:00:00" if name == "timestamp"
+                        else value if bad and name == column else "1"
+                        for name in header.split(","))
+
     path = tmp_path / "bad.csv"
-    path.write_text("timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c\n"
-                    "2023-09-10T00:00:00,30,80,10,20\n"
-                    "2023-09-10T01:00:00," + ",".join(cells.values()) + "\n")
+    path.write_text("\n".join([header, row(0, False), row(1, True)]) + "\n")
     with pytest.raises(ScenarioParseError, match=f"row 2: {column} = {value} is not finite") \
             as exc_info:
-        load_scenario(str(path))
+        load(str(path))
     assert exc_info.value.row == 2
 
 

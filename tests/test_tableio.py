@@ -1,0 +1,71 @@
+"""Bit-exact round trips of the scenario, samples and schedule tables."""
+
+import os
+import tempfile
+from datetime import datetime, timedelta
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridshave.regression import MIN_SAMPLES, SampleSet, load_samples, save_samples
+from gridshave.report import load_schedule_csv, write_schedule_csv
+from gridshave.scenario import Scenario, load_scenario, write_scenario
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _columns(n_min, *elements):
+    """Equal-length float arrays, one per element strategy."""
+    return st.integers(n_min, 48).flatmap(lambda n: st.tuples(*(
+        st.lists(e, min_size=n, max_size=n).map(np.array) for e in elements)))
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _round_trip(write, load):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write(path)
+        return load(path)
+
+
+def _hours(n):
+    return [datetime(2023, 6, 12) + timedelta(hours=i) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns(1, NON_NEGATIVE, NON_NEGATIVE, NON_NEGATIVE, FINITE),
+       st.none() | st.integers(0, 2**31))
+def test_scenario_round_trip_bit_exact(cols, seed):
+    p_base, q_cool, q_s_c, twb = cols
+    scenario = Scenario(timestamps=_hours(len(twb)), p_base=p_base, q_cool=q_cool,
+                        q_s_c=q_s_c, twb=twb, name="prop", source="synthetic", seed=seed)
+    loaded = _round_trip(lambda p: write_scenario(scenario, p), load_scenario)
+    assert (loaded.timestamps, loaded.name, loaded.source, loaded.seed) == \
+        (scenario.timestamps, "prop", "synthetic", seed)
+    for attr in ("p_base", "q_cool", "q_s_c", "twb"):
+        assert _bits_equal(getattr(loaded, attr), getattr(scenario, attr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns(MIN_SAMPLES, st.floats(0.0, 1.0), FINITE, FINITE))
+def test_samples_round_trip_bit_exact(cols):
+    samples = SampleSet(*cols, provenance="measured")
+    loaded = _round_trip(lambda p: save_samples(samples, p), load_samples)
+    for attr in ("plr", "twb", "cop"):
+        assert _bits_equal(getattr(loaded, attr), getattr(samples, attr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_columns(1, FINITE, FINITE))
+def test_schedule_round_trip_bit_exact(cols):
+    q_stor, e_stor_end = cols
+    report = SimpleNamespace(timestamps=_hours(len(q_stor)), q_stor=q_stor,
+                             e_stor_end=e_stor_end)
+    loaded = _round_trip(lambda p: write_schedule_csv(report, p), load_schedule_csv)
+    assert _bits_equal(loaded, q_stor)

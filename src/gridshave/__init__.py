@@ -24,6 +24,7 @@ from .optimizer import (
     SolverOptions,
     dp_oracle,
     gradient,
+    hessian_diagonal,
     objective,
     operator_heuristic,
     p_mean,
@@ -86,6 +87,7 @@ __all__ = [
     "fuel_savings",
     "generate_synthetic",
     "gradient",
+    "hessian_diagonal",
     "load_scenario",
     "mbe",
     "no_storage_baseline",

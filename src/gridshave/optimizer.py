@@ -10,10 +10,16 @@ minimizes
 subject to the rate box, the stored-energy chain 0 <= e(t) <= e_max, the
 terminal state e(T) = e_terminal, per-hour chiller capacity and the COP
 floor. Capacity is linear and the COP surface quadratic in PLR, so both
-reduce to per-hour intervals on q_stor; the remaining constraints form one
-lower-triangular linear system, making the problem a smooth NLP over box +
-linear constraints. It is solved by one scipy SLSQP run from a feasible
-start with the analytic gradient; scipy.optimize is imported only then.
+reduce to per-hour intervals on q_stor (`hour_bounds`); the stored-energy
+limits are the cumulative-sum rows of the rates, and the terminal state is
+one equality on their sum.
+
+Each hour's cost depends on that hour's rate alone, so the Hessian of the
+objective is diagonal and known in closed form (`hessian_diagonal`). `solve`
+uses this structure in a primal-dual interior-point Newton method with
+Mehrotra's predictor-corrector (Boyd & Vandenberghe, Convex Optimization,
+ch. 11; Mehrotra 1992): every step solves one (T+1) x (T+1) linear system
+with numpy, and nothing beyond numpy is needed.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -48,8 +54,16 @@ from .errors import (
 
 HOURS_PER_DAY = 24
 
-#: Weight of the smoothing tie-break term added inside the solver.
-TIE_BREAK_WEIGHT = 1e-9
+#: Floor on each hour's cost curvature inside the Newton step, so that a COP
+#: surface making the cost non-convex cannot make the step system indefinite.
+HESSIAN_FLOOR = 1e-6
+
+#: Fraction of each hour's [lo, hi] width kept between the starting rate and
+#: the box edge.
+BOX_MARGIN = 0.05
+
+#: Fraction of the way to the slack and dual boundary a step may go.
+STEP_TO_BOUNDARY = 0.995
 
 
 @dataclass(frozen=True)
@@ -84,9 +98,9 @@ class ScheduleProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_iterations: int = 100_000       # SLSQP maxiter
-    feasibility_tol: float = 1e-6       # MWh, schedule checks
-    optimality_tol: float = 1e-8        # SLSQP ftol, MW^2
+    max_iterations: int = 200           # Newton-step cap of the interior-point solve
+    feasibility_tol: float = 1e-6       # MWh, primal residuals and schedule checks
+    optimality_tol: float = 1e-8        # mean complementarity (MW^2), relative dual residual
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
@@ -145,6 +159,7 @@ def _plr_floor_interval(twb: float, m: CopModel, plr_ref: float) -> tuple[float,
     of at most two intervals. Returns the one holding the reference point, or
     raises if the reference itself is inadmissible.
     """
+    twb = float(twb)
     a = m.c3
     b = m.c1 + m.c4 * twb
     c = m.c0 + m.c2 * twb + m.c5 * twb * twb - m.cop_floor
@@ -168,9 +183,10 @@ def _plr_floor_interval(twb: float, m: CopModel, plr_ref: float) -> tuple[float,
     if disc <= 0.0:
         # no real roots: sign is constant, and it is positive at plr_ref
         return (0.0, 1.0)
-    sq = math.sqrt(disc)
-    r1 = (-b - sq) / (2.0 * a)
-    r2 = (-b + sq) / (2.0 * a)
+    # the root formula without cancellation: a tiny c3 puts one root far
+    # outside [0, 1] (possibly at inf) and keeps the other accurate
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    r1, r2 = q / a, c / q
     lo_root, hi_root = min(r1, r2), max(r1, r2)
     if a < 0.0:
         # concave: admissible between the roots
@@ -247,32 +263,50 @@ def generation_profile(q_stor, problem: ScheduleProblem) -> np.ndarray:
     return problem.p_base + p_ch
 
 
-def objective(q_stor, problem: ScheduleProblem) -> float:
-    """Sum of squared deviations of generation from the flat target, MW^2."""
-    g = generation_profile(q_stor, problem)
-    r = g - problem.p_mean
-    return float(np.dot(r, r))
+def _hourly_terms(q_stor, problem: ScheduleProblem,
+                  check: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over `_power_arrays`: the residual G(t) - p_mean and the first
+    and second derivative of each hour's cost (G(t) - p_mean)^2 in q_stor(t).
 
-
-def gradient(q_stor, problem: ScheduleProblem) -> np.ndarray:
-    """Analytic d(objective)/d(q_stor), matching central finite differences.
-
-    Chain rule through p_ch = q_ch / cop(q_ch / q_ch_max, twb):
-    dp_ch/dq_ch = (cop - plr * dcop/dplr) / cop^2.
+    Chain rule through p_ch = q_ch / cop(plr), plr = q_ch / q_ch_max, with
+    cop' = dcop/dplr and cop'' = 2 c3:
+        dp_ch/dq_ch   = (cop - plr cop') / cop^2
+        d2p_ch/dq_ch2 = (2 plr cop'^2 - cop (2 cop' + plr cop'')) / (q_ch_max cop^3)
     """
     q = np.asarray(q_stor, dtype=float)
     if q.shape != (problem.horizon,):
         raise ShapeError(f"q_stor shape {q.shape} != horizon {problem.horizon}")
-    q_ch, cop, p_ch = _power_arrays(q, problem)
+    q_ch, cop, p_ch = _power_arrays(q, problem, check)
+    m = problem.cop_model
     plr = q_ch / problem.tes.q_ch_max
-    slope = cop_plr_slope(plr, problem.twb, problem.cop_model)
-    dpch_dqch = (cop - plr * slope) / (cop * cop)
-    g = problem.p_base + p_ch
-    grad = 2.0 * (g - problem.p_mean) * dpch_dqch
+    slope = cop_plr_slope(plr, problem.twb, m)
+    dp = (cop - plr * slope) / (cop * cop)
+    d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + 2.0 * m.c3 * plr))
+           / (problem.tes.q_ch_max * cop * cop * cop))
+    r = problem.p_base + p_ch - problem.p_mean
+    return r, 2.0 * r * dp, 2.0 * (dp * dp + r * d2p)
+
+
+def objective(q_stor, problem: ScheduleProblem) -> float:
+    """Sum of squared deviations of generation from the flat target, MW^2."""
+    r, _, _ = _hourly_terms(q_stor, problem)
+    return float(np.dot(r, r))
+
+
+def gradient(q_stor, problem: ScheduleProblem) -> np.ndarray:
+    """Analytic d(objective)/d(q_stor), matching central finite differences."""
+    _, grad, _ = _hourly_terms(q_stor, problem)
     if not np.all(np.isfinite(grad)):
         t = int(np.nonzero(~np.isfinite(grad))[0][0])
         raise FloatingPointError(f"non-finite gradient component at hour {t}")
     return grad
+
+
+def hessian_diagonal(q_stor, problem: ScheduleProblem) -> np.ndarray:
+    """Analytic d2(objective)/d(q_stor)^2; the Hessian is diagonal because
+    each hour's cost depends on that hour's rate alone."""
+    _, _, hess = _hourly_terms(q_stor, problem)
+    return hess
 
 
 def feasible_start(problem: ScheduleProblem,
@@ -301,35 +335,27 @@ def solve(problem: ScheduleProblem,
           opts: SolverOptions = SolverOptions()) -> OptimalSchedule:
     """Minimize the flatness objective over feasible storage schedules.
 
-    One SLSQP run from the zero/ramp start. The returned point is the best
-    of the SLSQP result, the start and (for 24-hour problems) the operator
-    heuristic, so it never loses to either reference schedule; `converged`
-    is SLSQP's own success flag. Deterministic for identical inputs and
-    options.
+    One interior-point Newton solve (`_interior_point`) from the zero/ramp
+    start, capped at `max_iterations` steps. The returned point is the best
+    of the solver point (when it passes `check_schedule`), the start and (for
+    24-hour problems) the operator heuristic, so it never loses to either
+    reference schedule. `converged` is True when the dual, primal and
+    terminal residuals and the mean complementarity all fell below
+    tolerance; `message` records them. Deterministic for identical inputs
+    and options.
     """
-    from scipy.optimize import Bounds, LinearConstraint, minimize
-
     T = problem.horizon
     tes = problem.tes
     lo, hi = hour_bounds(problem)
     x0 = feasible_start(problem, lo, hi)
-    # stored-energy chain: rows 0..T-2 keep 0 <= e(t) <= e_max, and the last
-    # row is the terminal-state equality
-    chain = np.tril(np.ones((T, T)))
-    delta = tes.e_terminal - tes.e_initial
-    constraints = [LinearConstraint(chain[:-1], -tes.e_initial, tes.e_max - tes.e_initial),
-                   LinearConstraint(chain[-1:], delta, delta)]
-    tie = TIE_BREAK_WEIGHT
-    res = minimize(
-        lambda x: objective(x, problem) + tie * float(np.dot(x, x)), x0,
-        jac=lambda x: gradient(x, problem) + 2.0 * tie * x,
-        method="SLSQP", bounds=Bounds(lo, hi), constraints=constraints,
-        options={"maxiter": opts.max_iterations, "ftol": opts.optimality_tol},
-    )
-    x = np.asarray(res.x, dtype=float)
+    x, iterations, converged, message = _interior_point(problem, lo, hi, x0, opts)
     # restore the terminal state exactly; the uniform shift is orders of
     # magnitude below feasibility_tol and keeps all other limits within it
-    candidates = [x + (delta - float(np.sum(x))) / T, x0]
+    x = x + (tes.e_terminal - tes.e_initial - float(np.sum(x))) / T
+    # a capped solve may stop short of the stored-energy limits
+    candidates = [x0]
+    if not check_schedule(StorageSchedule.from_rates(x, tes), tes, tol=opts.feasibility_tol):
+        candidates.append(x)
     heur = operator_heuristic(problem) if T == HOURS_PER_DAY else None
     if heur is not None and not check_schedule(heur, tes, tol=opts.feasibility_tol):
         candidates.append(heur.q_stor)
@@ -348,11 +374,133 @@ def solve(problem: ScheduleProblem,
         objective=best_obj,
         p_ch=p_ch,
         generation=problem.p_base + p_ch,
-        iterations=int(res.nit),
-        converged=res.status == 0,
-        message=str(res.message),
+        iterations=iterations,
+        converged=converged,
+        message=message,
         heuristic=heur,
     )
+
+
+def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
+                    x0: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, int, bool, str]:
+    """Primal-dual interior-point Newton method with Mehrotra's predictor-corrector.
+
+    The inequalities are the box lo <= x <= hi on the hours whose interval is
+    wider than feasibility_tol (a narrower hour stays at its start value, so
+    an hour with lo == hi needs no slack) and the stored-energy
+    rows 0 <= e_initial + (L x)(t) <= e_max for t < T-1, where L is the
+    lower-triangular matrix of ones. Each is a row of G x + s = h with slack
+    s >= 0 and dual z >= 0; the terminal row sum(x) = delta has multiplier y.
+
+    Eliminating s and z leaves the reduced KKT system
+
+        [ H + G'WG  1 ] [dx]   [rhs]
+        [ 1'        0 ] [dy] = [-r_e],   W = diag(z / s),
+
+    where H is the diagonal of `hessian_diagonal` (floored at HESSIAN_FLOOR),
+    the box rows add W to the diagonal, and L'WL has entry [i, j] equal to the
+    suffix sum of the stored-energy weights from max(i, j), so it is one
+    fancy index into a suffix-sum vector.
+
+    The start is strictly inside the box. A full tank puts the zero schedule
+    on the e_max edge, so every stored-energy row starts with a slack of at
+    least one hour at the rate limit; the primal residual this leaves decays
+    to zero with the steps. Returns (x, steps, converged, message).
+    """
+    T = problem.horizon
+    tes = problem.tes
+    delta = tes.e_terminal - tes.e_initial
+    free = np.flatnonzero(hi - lo > opts.feasibility_tol)
+    n = free.size
+    x = x0.copy()
+    if n == 0:
+        return x, 0, True, "no free hour: every rate is fixed by its bounds"
+    margin = BOX_MARGIN * (hi[free] - lo[free])
+    x[free] = np.clip(x0[free], lo[free] + margin, hi[free] - margin)
+    # rows of G x + s = h: box upper, box lower, tank upper, tank lower
+    upper, lower = slice(0, n), slice(n, 2 * n)
+    tank, full, empty = slice(2 * n, None), slice(2 * n, 2 * n + T - 1), slice(2 * n + T - 1, None)
+    h = np.concatenate([hi[free], -lo[free], np.full(T - 1, tes.e_max - tes.e_initial),
+                        np.full(T - 1, tes.e_initial)])
+
+    def g_mul(dx):
+        c = np.cumsum(dx)[:-1]
+        return np.concatenate([dx[free], -dx[free], c, -c])
+
+    def suffix(u):
+        out = np.zeros(T)
+        out[:-1] = np.cumsum(u[::-1])[::-1]
+        return out
+
+    def gt_mul(v):
+        return v[upper] - v[lower] + suffix(v[full] - v[empty])[free]
+
+    s = h - g_mul(x)
+    s[tank] = np.maximum(s[tank], tes.rate_max)
+    z = np.ones_like(s)
+    y = 0.0
+    corner = np.maximum.outer(free, free)
+    diag = np.arange(n)
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[n, :n] = kkt[:n, n] = 1.0
+
+    def direction(r_c):
+        """Newton step for complementarity target r_c = s z - target."""
+        rhs = np.append(-r_d - gt_mul((z * r_p - r_c) / s), -r_e)
+        sol = np.linalg.solve(kkt, rhs)
+        dx = np.zeros(T)
+        dx[free] = sol[:n]
+        ds = -r_p - g_mul(dx)
+        return dx, sol[n], ds, -(r_c + z * ds) / s
+
+    step = 0
+    while True:
+        _, grad, hess = _hourly_terms(x, problem, check=False)
+        r_d = grad[free] + gt_mul(z) + y
+        r_p = g_mul(x) + s - h
+        r_e = float(np.sum(x)) - delta
+        mu = float(np.dot(s, z)) / s.size
+        # relative to the gradient, so that the test is reachable in floating
+        # point on horizons whose cost is larger
+        res_d = float(np.max(np.abs(r_d))) / max(1.0, float(np.max(np.abs(grad))))
+        res_p = float(np.max(np.abs(r_p)))
+        converged = (res_d <= opts.optimality_tol and res_p <= opts.feasibility_tol
+                     and abs(r_e) <= opts.feasibility_tol and mu <= opts.optimality_tol)
+        if converged or step >= opts.max_iterations:
+            break
+
+        w = z / s
+        kkt[:n, :n] = suffix(w[full] + w[empty])[corner]
+        kkt[diag, diag] += np.maximum(hess[free], HESSIAN_FLOOR) + w[upper] + w[lower]
+        # predictor: the pure Newton step, which sets the centring weight
+        r_c = s * z
+        try:
+            dx, dy, ds, dz = direction(r_c)
+        except np.linalg.LinAlgError:
+            break   # W outgrew floating point before the tolerances were met
+        alpha = min(1.0, _max_step(s, ds, z, dz))
+        mu_aff = float(np.dot(s + alpha * ds, z + alpha * dz)) / s.size
+        sigma = min(1.0, (mu_aff / mu) ** 3)
+        # corrector: centre towards sigma * mu and cancel the second-order term
+        dx, dy, ds, dz = direction(r_c + ds * dz - sigma * mu)
+        alpha = min(1.0, STEP_TO_BOUNDARY * _max_step(s, ds, z, dz))
+        x += alpha * dx
+        s += alpha * ds
+        z += alpha * dz
+        y += alpha * dy
+        step += 1
+
+    message = (f"interior point, {step} steps: relative dual residual {res_d:.2e}, primal "
+               f"{res_p:.2e}, terminal {abs(r_e):.2e}, complementarity {mu:.2e}")
+    return x, step, converged, message
+
+
+def _max_step(s, ds, z, dz) -> float:
+    """Largest alpha in (0, inf) keeping s + alpha ds and z + alpha dz >= 0."""
+    v = np.concatenate([s, z])
+    dv = np.concatenate([ds, dz])
+    neg = dv < 0.0
+    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
 
 
 def operator_heuristic(problem: ScheduleProblem) -> StorageSchedule:

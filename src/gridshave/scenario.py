@@ -153,7 +153,8 @@ class SynthParams:
 
     The defaults are tuned so that with the default plant, COP model and
     storage configs the no-storage generation peaks in the mid-60s MW on the
-    hottest day, with a mild overnight valley.
+    hottest day, with a mild overnight valley. `days` below 1 raises
+    SynthesisError.
     """
 
     days: int = 3
@@ -171,6 +172,10 @@ class SynthParams:
     steam_amp_mw: float = 3.0
     noise_mw: float = 0.5
     day_scale: tuple[float, ...] = (1.0, 0.93, 0.86)
+
+    def __post_init__(self):
+        if self.days < 1:
+            raise SynthesisError(f"days must be at least 1, got {self.days}")
 
 
 def _daily_bell(hours: np.ndarray, center: float, width: float) -> np.ndarray:

@@ -1,14 +1,24 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gridshave
+import gridshave.optimizer
 
-from gridshave.cooling import DEFAULT_COP_MODEL, TesConfig, check_schedule
-from gridshave.errors import GridResourceError, InfeasibleStartError, ShapeError
+from gridshave.cooling import DEFAULT_COP_MODEL, CopModel, TesConfig, check_schedule, cop_values
+from gridshave.errors import (
+    GridResourceError,
+    InfeasibleStartError,
+    ShapeError,
+    SynthesisError,
+)
 from gridshave.optimizer import (
     ScheduleProblem,
     SolverOptions,
@@ -16,15 +26,32 @@ from gridshave.optimizer import (
     feasible_start,
     generation_profile,
     gradient,
+    hessian_diagonal,
     hour_bounds,
     objective,
     operator_heuristic,
     p_mean,
     solve,
 )
-from gridshave.scenario import SynthParams, generate_synthetic
+from gridshave.scenario import SynthParams, generate_synthetic, write_scenario
 from gridshave.run import build_problems
 from gridshave.plant import DEFAULT_PLANT
+
+
+#: A COP surface convex in PLR whose hourly cost is strongly non-convex on
+#: the default day (cost curvature down to about -11 inside the box).
+NON_CONVEX_COP = CopModel(c0=4.0, c1=-12.0, c2=0.0, c3=12.0, c4=0.0, c5=0.0)
+
+#: Parameter ranges of acceptance criterion 5.
+CRITERION5 = {
+    "base_level_mw": (24.0, 29.0),
+    "base_peak_amp_mw": (4.0, 9.0),
+    "cool_base_mw": (55.0, 72.0),
+    "cool_peak_amp_mw": (40.0, 70.0),
+    "twb_base_c": (19.0, 23.0),
+    "twb_amp_c": (2.0, 4.0),
+    "noise_mw": (0.0, 0.8),
+}
 
 
 def _constant_problem(T=24, p_base=30.0, q_cool=80.0, twb=22.0, p_mean_offset=0.0,
@@ -135,6 +162,34 @@ def test_gradient_sign_follows_deviation(first_day_problem):
     assert np.all(np.sign(grad[mask]) == np.sign((g - p.p_mean)[mask]))
 
 
+@pytest.mark.parametrize("cop_model", [DEFAULT_COP_MODEL, NON_CONVEX_COP],
+                         ids=["default-cop", "non-convex-cop"])
+def test_hessian_diagonal_matches_central_differences(first_day_problem, cop_model):
+    # every column of the finite-difference Jacobian of the gradient: the
+    # diagonal must match and the off-diagonal entries must vanish
+    p = replace(first_day_problem, cop_model=cop_model)
+    lo, hi = hour_bounds(p)
+    rng = np.random.default_rng(334)
+    h = 1e-4
+    worst = 0.0
+    for _ in range(100):
+        x = lo + (hi - lo) * rng.uniform(0.05, 0.95, 24)
+        fd = np.empty((24, 24))
+        for t in range(24):
+            e = np.zeros(24)
+            e[t] = h
+            fd[:, t] = (gradient(x + e, p) - gradient(x - e, p)) / (2.0 * h)
+        ana = np.diag(hessian_diagonal(x, p))
+        rel = np.abs(ana - fd) / np.maximum(1.0, np.maximum(np.abs(ana), np.abs(fd)))
+        worst = max(worst, float(np.max(rel)))
+    assert worst <= 1e-5
+
+
+def test_hessian_diagonal_shape_error(first_day_problem):
+    with pytest.raises(ShapeError):
+        hessian_diagonal(np.zeros(23), first_day_problem)
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -192,10 +247,150 @@ def test_solve_ramp_start_when_boundaries_differ():
 def test_solve_iteration_cap_returns_best_start(first_day_problem):
     res = solve(first_day_problem, SolverOptions(max_iterations=1))
     assert res.converged is False
+    assert res.iterations == 1
+    assert check_schedule(res.schedule, first_day_problem.tes) == []
     # the result is never worse than either raw start
     heur = operator_heuristic(first_day_problem)
     assert res.objective <= objective(np.zeros(24), first_day_problem) + 1e-12
     assert res.objective <= objective(heur.q_stor, first_day_problem) + 1e-12
+
+
+def _residuals(message: str) -> dict[str, float]:
+    match = re.search(r"dual residual (\S+), primal (\S+), terminal (\S+), "
+                      r"complementarity (\S+)$", message)
+    assert match, message
+    return dict(zip(("dual", "primal", "terminal", "complementarity"),
+                    map(float, match.groups())))
+
+
+@st.composite
+def criterion5_days(draw):
+    """First-day problems of synthetic days drawn like acceptance criterion 5."""
+    params = SynthParams(days=1, **{key: draw(st.floats(lo, hi))
+                                    for key, (lo, hi) in CRITERION5.items()})
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    try:
+        scenario = generate_synthetic(params, seed=seed)
+    except SynthesisError:
+        assume(False)
+    return build_problems(scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, TesConfig())[0][0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(criterion5_days())
+def test_solve_properties_on_random_days(problem):
+    opts = SolverOptions()
+    res = solve(problem, opts)
+    assert check_schedule(res.schedule, problem.tes, tol=opts.feasibility_tol) == []
+    assert res.objective <= objective(np.zeros(24), problem)
+    assert res.objective <= objective(res.heuristic.q_stor, problem)
+    assert res.converged
+    residuals = _residuals(res.message)
+    assert residuals["dual"] <= opts.optimality_tol
+    assert residuals["primal"] <= opts.feasibility_tol
+    assert residuals["terminal"] <= opts.feasibility_tol
+    assert residuals["complementarity"] <= opts.optimality_tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_cool=st.lists(st.floats(0.0, 156.5), min_size=4, max_size=4),
+       twb=st.lists(st.floats(10.0, 30.0), min_size=4, max_size=4),
+       rate_max=st.floats(0.0, 40.0),
+       c1=st.floats(-12.0, 4.0), c3=st.floats(-10.0, 12.0),
+       cop_floor=st.floats(0.5, 4.0))
+def test_hour_bounds_contain_zero_when_zero_storage_admissible(q_cool, twb, rate_max,
+                                                               c1, c3, cop_floor):
+    model = replace(DEFAULT_COP_MODEL, c1=c1, c3=c3, cop_floor=cop_floor)
+    tes = TesConfig(rate_max=rate_max)
+    problem = ScheduleProblem(
+        p_base=np.full(4, 30.0), q_cool=np.array(q_cool), q_s_c=np.full(4, 10.0),
+        twb=np.array(twb), p_mean=40.0, tes=tes, cop_model=model)
+    margin = cop_values(problem.q_cool / tes.q_ch_max, problem.twb, model) - cop_floor
+    assume(np.all(np.abs(margin) > 1e-9))
+    bad = np.flatnonzero(margin < 0.0)
+    if bad.size:
+        with pytest.raises(InfeasibleStartError, match=f"hour {bad[0]}:"):
+            hour_bounds(problem)
+    else:
+        lo, hi = hour_bounds(problem)
+        assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
+        for edge in (lo, hi):   # the COP floor holds up to the box edges
+            plr = (problem.q_cool + edge) / tes.q_ch_max
+            assert np.all(cop_values(plr, problem.twb, model) >= cop_floor - 1e-9)
+
+
+@pytest.mark.parametrize("c3", [0.0, 1e-320, 1e-300, -1e-300, 1e-12, -1e-12])
+def test_hour_bounds_tiny_quadratic_cop_term(c3):
+    # COP falls through the floor at plr = 0.74 on a near-linear surface; a
+    # tiny c3 must not move that root or raise
+    model = replace(DEFAULT_COP_MODEL, c1=-8.0, c3=c3, cop_floor=8.8)
+    tes = TesConfig(rate_max=150.0)
+    problem = ScheduleProblem(
+        p_base=np.full(2, 30.0), q_cool=np.full(2, 0.1 * tes.q_ch_max),
+        q_s_c=np.full(2, 10.0), twb=np.full(2, 10.0), p_mean=40.0, tes=tes,
+        cop_model=model)
+    _, hi = hour_bounds(problem)
+    assert hi == pytest.approx(np.full(2, 0.64 * tes.q_ch_max), rel=1e-9)
+
+
+def test_solve_hour_with_equal_bounds_stays_at_start(first_day_problem, monkeypatch):
+    real = hour_bounds
+
+    def pinned(problem):
+        lo, hi = real(problem)
+        lo, hi = lo.copy(), hi.copy()
+        lo[15] = hi[15] = 0.0
+        return lo, hi
+
+    free = solve(first_day_problem)
+    assert abs(free.schedule.q_stor[15]) > 1.0   # the peak hour discharges when free
+    monkeypatch.setattr(gridshave.optimizer, "hour_bounds", pinned)
+    res = solve(first_day_problem)
+    assert res.converged
+    assert res.schedule.q_stor[15] == pytest.approx(0.0, abs=1e-12)
+    assert check_schedule(res.schedule, first_day_problem.tes) == []
+    assert free.objective <= res.objective <= objective(np.zeros(24), first_day_problem)
+
+
+def test_solve_all_hours_fixed_takes_no_step():
+    problem = _constant_problem(tes=TesConfig(rate_max=0.0), p_mean_offset=2.0)
+    res = solve(problem)
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(res.schedule.q_stor, np.zeros(24))
+
+
+def test_solve_non_convex_cop_surface_returns_feasible_schedule(first_day_problem):
+    p = replace(first_day_problem, cop_model=NON_CONVEX_COP)
+    lo, hi = hour_bounds(p)
+    curvature = min(float(np.min(hessian_diagonal(lo + f * (hi - lo), p)))
+                    for f in np.linspace(0.05, 0.95, 19))
+    assert curvature < -1.0   # the hourly cost really is non-convex
+    res = solve(p)
+    assert check_schedule(res.schedule, p.tes) == []
+    assert res.objective <= objective(np.zeros(24), p)
+    assert res.objective <= objective(operator_heuristic(p).q_stor, p)
+
+
+def test_solve_converges_on_multi_day_horizon(synth_scenario):
+    # one 72-hour problem: a larger cost than a day's, same tolerances
+    sc = synth_scenario
+    problem = ScheduleProblem(p_base=sc.p_base, q_cool=sc.q_cool, q_s_c=sc.q_s_c,
+                              twb=sc.twb, p_mean=46.0, tes=TesConfig(),
+                              cop_model=DEFAULT_COP_MODEL)
+    res = solve(problem)
+    assert res.converged, res.message
+    assert check_schedule(res.schedule, problem.tes) == []
+    assert res.objective <= objective(np.zeros(72), problem)
+
+
+def test_solve_unreachable_tolerance_stops_unconverged(first_day_problem):
+    # complementarity 1e-15 is beyond floating point: the solve must end
+    # early, unconverged, with a feasible schedule as good as a normal solve
+    res = solve(first_day_problem, SolverOptions(optimality_tol=1e-15))
+    assert res.converged is False
+    assert res.iterations < 50
+    assert check_schedule(res.schedule, first_day_problem.tes) == []
+    assert res.objective <= solve(first_day_problem).objective + 1e-6
 
 
 def test_solve_peak_dominance_with_discharge_headroom():
@@ -363,7 +558,7 @@ def test_schedule_problem_validation():
 
 def test_solver_options_defaults():
     opts = SolverOptions()
-    assert opts.max_iterations == 100_000
+    assert opts.max_iterations == 200
     assert opts.feasibility_tol == 1e-6
     assert opts.optimality_tol == 1e-8
 
@@ -387,12 +582,26 @@ def test_solver_options_load_ignores_retired_keys(tmp_path):
         max_iterations=5000, feasibility_tol=1e-7, optimality_tol=1e-9)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_and_optimize_load_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(gridshave.__file__))
-    code = "import sys, gridshave; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, gridshave; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+    # every module a full optimize run imports, from `-X importtime` on stderr
+    scenario_path = str(tmp_path / "day.csv")
+    write_scenario(generate_synthetic(seed=1), scenario_path)
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "gridshave", "optimize",
+                          "--scenario", scenario_path, "--out", str(tmp_path / "run")],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "gridshave.optimizer" in imported
+    assert [m for m in imported if m.startswith("scipy")] == []
 
 
 def test_import_leaves_process_pool_modules_unloaded():

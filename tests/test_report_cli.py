@@ -288,6 +288,14 @@ def test_cli_row_error_reported(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("days", ["0", "-2"])
+def test_cli_synth_rejects_non_positive_days(tmp_path, capsys, days):
+    out = tmp_path / "day.csv"
+    assert cli_main(["synth", "--out", str(out), "--days", days]) == 1
+    assert f"error: days must be at least 1, got {days}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_non_convergence_exit_code(tmp_path):
     scenario_path = str(tmp_path / "day.csv")
     solver_path = str(tmp_path / "solver.cfg")

@@ -179,6 +179,12 @@ def test_synthetic_capacity_overrun_is_synthesis_error():
         generate_synthetic(SynthParams(days=3), seed=4)
 
 
+@pytest.mark.parametrize("days", [0, -2])
+def test_synthetic_rejects_non_positive_days(days):
+    with pytest.raises(SynthesisError, match=f"days must be at least 1, got {days}"):
+        generate_synthetic(SynthParams(days=days), seed=1)
+
+
 def test_synthetic_embeds_seed(synth_scenario):
     assert synth_scenario.seed == 1
     assert synth_scenario.source == "synthetic"

@@ -157,7 +157,7 @@ class StorageSchedule:
 class Violation:
     """One constraint violation found by check_schedule."""
 
-    kind: str      # rate | soc_low | soc_high | initial_soc | terminal_soc | trajectory
+    kind: str      # non_finite | rate | soc_low | soc_high | initial_soc | terminal_soc | trajectory
     hour: int      # index into q_stor/e_stor; -1 for boundary conditions
     value: float
     limit: float
@@ -244,18 +244,23 @@ def check_schedule(schedule: StorageSchedule, tes: TesConfig,
                    tol: float = 1e-6) -> list[Violation]:
     """Validate a schedule against rate, bound and boundary-state limits.
 
-    Returns an empty list iff every limit holds within tol (MWh / MW).
+    Returns an empty list iff every limit holds within tol (MWh / MW). A nan
+    or inf rate is a `non_finite` violation at its hour, and no other limit
+    is checked then.
     """
-    out: list[Violation] = []
     q = schedule.q_stor
     e = schedule.e_stor
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        return [Violation("non_finite", int(i), float(q[i]), tes.rate_max) for i in bad]
+    out: list[Violation] = []
 
     recomputed = np.empty_like(e)
     recomputed[0] = e[0]
     np.cumsum(q, out=recomputed[1:])
     recomputed[1:] += e[0]
     drift = np.abs(e - recomputed)
-    for i in np.nonzero(drift > tol)[0]:
+    for i in np.nonzero(~(drift <= tol))[0]:   # a nan stored energy drifts too
         out.append(Violation("trajectory", int(i), float(e[i]), float(recomputed[i])))
 
     for i in np.nonzero(np.abs(q) > tes.rate_max + tol)[0]:

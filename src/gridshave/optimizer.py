@@ -18,8 +18,10 @@ Each hour's cost depends on that hour's rate alone, so the Hessian of the
 objective is diagonal and known in closed form (`hessian_diagonal`). `solve`
 uses this structure in a primal-dual interior-point Newton method with
 Mehrotra's predictor-corrector (Boyd & Vandenberghe, Convex Optimization,
-ch. 11; Mehrotra 1992): every step solves one (T+1) x (T+1) linear system
-with numpy, and nothing beyond numpy is needed.
+ch. 11; Mehrotra 1992). The box and stored-energy rows form one dense
+constraint matrix, built once per solve, so every product with it is one
+matrix product; each step solves one (T+1) x (T+1) linear system with numpy,
+and nothing beyond numpy is needed.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -72,20 +74,19 @@ class ScheduleProblem:
 
     p_base: np.ndarray      # MW, base electric load (everything but chillers)
     q_cool: np.ndarray      # MW thermal, cooling delivered to campus
-    q_s_c: np.ndarray       # MW thermal, campus steam demand
     twb: np.ndarray         # deg C, wet-bulb temperature
     p_mean: float           # MW, flat generation target
     tes: TesConfig
     cop_model: CopModel
 
     def __post_init__(self):
-        for name in ("p_base", "q_cool", "q_s_c", "twb"):
+        for name in ("p_base", "q_cool", "twb"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
         T = self.p_base.shape[0]
         if T < 2:
             raise ShapeError(f"horizon must be at least 2 hours, got {T}")
-        for name in ("q_cool", "q_s_c", "twb"):
+        for name in ("q_cool", "twb"):
             if getattr(self, name).shape != (T,):
                 raise ShapeError(f"{name} length differs from p_base length {T}")
         if not self.p_mean > 0.0:
@@ -152,82 +153,76 @@ def p_mean(prev_day_generation) -> float:
     return float(np.mean(g))
 
 
-def _plr_floor_interval(twb: float, m: CopModel, plr_ref: float) -> tuple[float, float]:
-    """Connected {plr in [0,1]: cop >= floor} segment containing plr_ref.
+def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Per-hour [lo, hi] bounds on q_stor from rate, capacity and COP floor.
 
-    cop(plr) at fixed twb is quadratic in plr; the admissible set is a union
-    of at most two intervals. Returns the one holding the reference point, or
-    raises if the reference itself is inadmissible.
+    cop(plr) at fixed twb is quadratic in plr, so {plr in [0, 1]: cop >=
+    floor} is a union of at most two intervals; each hour keeps the one
+    holding its zero-storage point plr_ref = q_cool / q_ch_max. Raises
+    InfeasibleStartError naming the first hour whose demand is outside the
+    chiller range, whose zero-storage point breaks the floor, or whose
+    interval is empty.
     """
-    twb = float(twb)
+    tes = problem.tes
+    m = problem.cop_model
+    q_cool, twb = problem.q_cool, problem.twb
+    plr_ref = q_cool / tes.q_ch_max
     a = m.c3
     b = m.c1 + m.c4 * twb
     c = m.c0 + m.c2 * twb + m.c5 * twb * twb - m.cop_floor
-
-    def val(p):
-        return a * p * p + b * p + c
-
-    if val(plr_ref) <= 0.0:
-        raise DegenerateCopError(
-            f"COP at plr={plr_ref:.4f}, twb={twb:.2f} is at or below the floor")
-
-    if a == 0.0:
-        if b == 0.0:
-            return (0.0, 1.0)  # constant and positive at plr_ref
-        root = -c / b
-        if b > 0.0:
-            return (max(0.0, root), 1.0)
-        return (0.0, min(1.0, root))
-
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        # no real roots: sign is constant, and it is positive at plr_ref
-        return (0.0, 1.0)
-    # the root formula without cancellation: a tiny c3 puts one root far
-    # outside [0, 1] (possibly at inf) and keeps the other accurate
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    r1, r2 = q / a, c / q
-    lo_root, hi_root = min(r1, r2), max(r1, r2)
-    if a < 0.0:
-        # concave: admissible between the roots
-        return (max(0.0, lo_root), min(1.0, hi_root))
-    # convex: admissible outside the roots; pick the side holding plr_ref
-    if plr_ref <= lo_root:
-        return (0.0, min(1.0, lo_root))
-    return (max(0.0, hi_root), 1.0)
-
-
-def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-hour [lo, hi] bounds on q_stor from rate, capacity and COP floor."""
-    T = problem.horizon
-    tes = problem.tes
-    lo = np.empty(T)
-    hi = np.empty(T)
-    for t in range(T):
-        q_cool = problem.q_cool[t]
-        if not 0.0 <= q_cool <= tes.q_ch_max:
+    # on hours whose branch np.where discards, the root formulas may divide by
+    # zero or take the root of a negative number; a tiny c3 overflows to inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if a == 0.0:
+            root = -c / b
+            plr_lo = np.where(b > 0.0, np.maximum(0.0, root), 0.0)
+            plr_hi = np.where(b < 0.0, np.minimum(1.0, root), 1.0)
+        else:
+            # the root formula without cancellation: a tiny c3 puts one root
+            # far outside [0, 1] (possibly at inf) and keeps the other accurate
+            disc = b * b - 4.0 * a * c
+            q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+            r1, r2 = q / a, c / q
+            lo_root, hi_root = np.minimum(r1, r2), np.maximum(r1, r2)
+            if a < 0.0:    # concave: admissible between the roots
+                plr_lo, plr_hi = np.maximum(0.0, lo_root), np.minimum(1.0, hi_root)
+            else:          # convex: admissible on the side of the roots holding plr_ref
+                left = plr_ref <= lo_root
+                plr_lo = np.where(left, 0.0, np.maximum(0.0, hi_root))
+                plr_hi = np.where(left, np.minimum(1.0, lo_root), 1.0)
+            # no real roots: the sign is constant, and positive at plr_ref
+            plr_lo = np.where(disc > 0.0, plr_lo, 0.0)
+            plr_hi = np.where(disc > 0.0, plr_hi, 1.0)
+        lo = np.maximum(-tes.rate_max, plr_lo * tes.q_ch_max - q_cool)
+        hi = np.minimum(tes.rate_max, plr_hi * tes.q_ch_max - q_cool)
+        bad_demand = ~((q_cool >= 0.0) & (q_cool <= tes.q_ch_max))
+        bad_cop = a * plr_ref * plr_ref + b * plr_ref + c <= 0.0
+    bad = np.flatnonzero(bad_demand | bad_cop | (lo > hi))
+    if bad.size:
+        t = int(bad[0])
+        if bad_demand[t]:
             raise InfeasibleStartError(
-                f"hour {t}: cooling demand {q_cool} MW outside [0, {tes.q_ch_max}] MW")
-        plr_ref = q_cool / tes.q_ch_max
-        try:
-            plr_lo, plr_hi = _plr_floor_interval(problem.twb[t], problem.cop_model, plr_ref)
-        except DegenerateCopError as exc:
+                f"hour {t}: cooling demand {q_cool[t]} MW outside [0, {tes.q_ch_max}] MW")
+        if bad_cop[t]:
             raise InfeasibleStartError(
-                f"hour {t}: zero-storage operating point violates the COP floor "
-                f"({exc})") from exc
-        lo[t] = max(-tes.rate_max, plr_lo * tes.q_ch_max - q_cool)
-        hi[t] = min(tes.rate_max, plr_hi * tes.q_ch_max - q_cool)
-        if lo[t] > hi[t]:
-            raise InfeasibleStartError(f"hour {t}: empty feasible storage-rate interval")
+                f"hour {t}: zero-storage operating point violates the COP floor (COP at "
+                f"plr={plr_ref[t]:.4f}, twb={twb[t]:.2f} is at or below the floor)")
+        raise InfeasibleStartError(f"hour {t}: empty feasible storage-rate interval")
     return lo, hi
 
 
-def _power_arrays(q_stor: np.ndarray, problem: ScheduleProblem,
-                  check: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q_ch, cop, p_ch) per hour; validates capacity and COP floor."""
+def _power_arrays(q_stor: np.ndarray, problem: ScheduleProblem, check: bool = True
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(plr, b, cop, p_ch) per hour, from the per-hour coefficients
+    b(t) = c1 + c4 twb and c(t) = c0 + c2 twb + c5 twb^2 of
+    cop = c(t) + (b(t) + c3 plr) plr. With check, validates capacity and COP
+    floor and clamps plr to [0, 1]; without, q_stor must lie in `hour_bounds`."""
     tes = problem.tes
     m = problem.cop_model
+    twb = problem.twb
     q_ch = problem.q_cool + q_stor
+    plr = q_ch / tes.q_ch_max
+    b = m.c1 + m.c4 * twb
     if check:
         bad = np.nonzero(q_ch < -1e-9)[0]
         if bad.size:
@@ -241,17 +236,17 @@ def _power_arrays(q_stor: np.ndarray, problem: ScheduleProblem,
             raise ChillerCapacityError(
                 f"hour {t}: chiller output {q_ch[t]:.3f} MW exceeds capacity "
                 f"{tes.q_ch_max} MW")
-    plr = np.clip(q_ch, 0.0, tes.q_ch_max) / tes.q_ch_max
-    cop = cop_values(plr, problem.twb, m)
-    if check:
-        bad = np.nonzero(cop <= m.cop_floor)[0]
-        if bad.size:
-            t = int(bad[0])
-            raise DegenerateCopError(
-                f"hour {t}: COP {cop[t]:.4f} at plr={plr[t]:.4f}, twb={problem.twb[t]:.2f} "
-                f"is at or below floor {m.cop_floor}")
-    p_ch = np.where(q_ch > 0.0, q_ch / cop, 0.0)
-    return q_ch, cop, p_ch
+        plr = np.clip(plr, 0.0, 1.0)
+    cop = m.c0 + (m.c2 + m.c5 * twb) * twb + (b + m.c3 * plr) * plr
+    if not check:
+        return plr, b, cop, q_ch / cop
+    bad = np.nonzero(cop <= m.cop_floor)[0]
+    if bad.size:
+        t = int(bad[0])
+        raise DegenerateCopError(
+            f"hour {t}: COP {cop[t]:.4f} at plr={plr[t]:.4f}, twb={twb[t]:.2f} "
+            f"is at or below floor {m.cop_floor}")
+    return plr, b, cop, np.where(q_ch > 0.0, q_ch / cop, 0.0)
 
 
 def generation_profile(q_stor, problem: ScheduleProblem) -> np.ndarray:
@@ -259,8 +254,7 @@ def generation_profile(q_stor, problem: ScheduleProblem) -> np.ndarray:
     q = np.asarray(q_stor, dtype=float)
     if q.shape != (problem.horizon,):
         raise ShapeError(f"q_stor shape {q.shape} != horizon {problem.horizon}")
-    _, _, p_ch = _power_arrays(q, problem)
-    return problem.p_base + p_ch
+    return problem.p_base + _power_arrays(q, problem)[3]
 
 
 def _hourly_terms(q_stor, problem: ScheduleProblem,
@@ -269,19 +263,20 @@ def _hourly_terms(q_stor, problem: ScheduleProblem,
     and second derivative of each hour's cost (G(t) - p_mean)^2 in q_stor(t).
 
     Chain rule through p_ch = q_ch / cop(plr), plr = q_ch / q_ch_max, with
-    cop' = dcop/dplr and cop'' = 2 c3:
+    cop' = dcop/dplr = b(t) + 2 c3 plr and cop'' = 2 c3:
         dp_ch/dq_ch   = (cop - plr cop') / cop^2
         d2p_ch/dq_ch2 = (2 plr cop'^2 - cop (2 cop' + plr cop'')) / (q_ch_max cop^3)
+    Without check, q_stor must be a float array of the horizon's length.
     """
-    q = np.asarray(q_stor, dtype=float)
-    if q.shape != (problem.horizon,):
-        raise ShapeError(f"q_stor shape {q.shape} != horizon {problem.horizon}")
-    q_ch, cop, p_ch = _power_arrays(q, problem, check)
-    m = problem.cop_model
-    plr = q_ch / problem.tes.q_ch_max
-    slope = cop_plr_slope(plr, problem.twb, m)
+    if check:
+        q_stor = np.asarray(q_stor, dtype=float)
+        if q_stor.shape != (problem.horizon,):
+            raise ShapeError(f"q_stor shape {q_stor.shape} != horizon {problem.horizon}")
+    plr, b, cop, p_ch = _power_arrays(q_stor, problem, check)
+    c3 = problem.cop_model.c3
+    slope = b + 2.0 * c3 * plr
     dp = (cop - plr * slope) / (cop * cop)
-    d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + 2.0 * m.c3 * plr))
+    d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + 2.0 * c3 * plr))
            / (problem.tes.q_ch_max * cop * cop * cop))
     r = problem.p_base + p_ch - problem.p_mean
     return r, 2.0 * r * dp, 2.0 * (dp * dp + r * d2p)
@@ -356,7 +351,7 @@ def solve(problem: ScheduleProblem,
     candidates = [x0]
     if not check_schedule(StorageSchedule.from_rates(x, tes), tes, tol=opts.feasibility_tol):
         candidates.append(x)
-    heur = operator_heuristic(problem) if T == HOURS_PER_DAY else None
+    heur = operator_heuristic(problem, bounds=(lo, hi)) if T == HOURS_PER_DAY else None
     if heur is not None and not check_schedule(heur, tes, tol=opts.feasibility_tol):
         candidates.append(heur.q_stor)
     best_obj, best = min(((objective(q, problem), q) for q in candidates),
@@ -368,7 +363,7 @@ def solve(problem: ScheduleProblem,
         raise InfeasibleStartError(
             "solver returned an infeasible schedule: "
             + "; ".join(str(v) for v in violations))
-    _, _, p_ch = _power_arrays(best, problem)
+    p_ch = _power_arrays(best, problem)[3]
     return OptimalSchedule(
         schedule=schedule,
         objective=best_obj,
@@ -387,20 +382,21 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
 
     The inequalities are the box lo <= x <= hi on the hours whose interval is
     wider than feasibility_tol (a narrower hour stays at its start value, so
-    an hour with lo == hi needs no slack) and the stored-energy
-    rows 0 <= e_initial + (L x)(t) <= e_max for t < T-1, where L is the
-    lower-triangular matrix of ones. Each is a row of G x + s = h with slack
-    s >= 0 and dual z >= 0; the terminal row sum(x) = delta has multiplier y.
+    an hour with lo == hi needs no slack) and the stored-energy rows
+    0 <= e_initial + (L x)(t) <= e_max for t < T-1, where L = np.tri(T-1, T)
+    is the lower-triangular matrix of ones. They are the rows of one dense
+    matrix G = [I_f; -I_f; L; -L], built once per solve, in G x + s = h with
+    slack s >= 0 and dual z >= 0 (I_f: the identity rows of the free hours);
+    the terminal row sum(x) = delta has multiplier y.
 
-    Eliminating s and z leaves the reduced KKT system
+    Eliminating s and z leaves the reduced KKT system over the free hours
 
-        [ H + G'WG  1 ] [dx]   [rhs]
-        [ 1'        0 ] [dy] = [-r_e],   W = diag(z / s),
+        [ H + Gf'WGf  1 ] [dx]   [rhs]
+        [ 1'          0 ] [dy] = [-r_e],   W = diag(z / s),
 
-    where H is the diagonal of `hessian_diagonal` (floored at HESSIAN_FLOOR),
-    the box rows add W to the diagonal, and L'WL has entry [i, j] equal to the
-    suffix sum of the stored-energy weights from max(i, j), so it is one
-    fancy index into a suffix-sum vector.
+    where Gf holds G's columns of the free hours and H is the diagonal of
+    `hessian_diagonal` (floored at HESSIAN_FLOOR). Every product with G, Gf'
+    or Gf'WGf is one matrix product.
 
     The start is strictly inside the box. A full tank puts the zero schedule
     on the e_max edge, so every stored-energy row starts with a slack of at
@@ -418,60 +414,47 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
     margin = BOX_MARGIN * (hi[free] - lo[free])
     x[free] = np.clip(x0[free], lo[free] + margin, hi[free] - margin)
     # rows of G x + s = h: box upper, box lower, tank upper, tank lower
-    upper, lower = slice(0, n), slice(n, 2 * n)
-    tank, full, empty = slice(2 * n, None), slice(2 * n, 2 * n + T - 1), slice(2 * n + T - 1, None)
+    box, tri = np.eye(T)[free], np.tri(T - 1, T)
+    G = np.vstack([box, -box, tri, -tri])
+    Gf = G[:, free]
     h = np.concatenate([hi[free], -lo[free], np.full(T - 1, tes.e_max - tes.e_initial),
                         np.full(T - 1, tes.e_initial)])
-
-    def g_mul(dx):
-        c = np.cumsum(dx)[:-1]
-        return np.concatenate([dx[free], -dx[free], c, -c])
-
-    def suffix(u):
-        out = np.zeros(T)
-        out[:-1] = np.cumsum(u[::-1])[::-1]
-        return out
-
-    def gt_mul(v):
-        return v[upper] - v[lower] + suffix(v[full] - v[empty])[free]
-
-    s = h - g_mul(x)
-    s[tank] = np.maximum(s[tank], tes.rate_max)
+    s = h - G @ x
+    s[2 * n:] = np.maximum(s[2 * n:], tes.rate_max)
     z = np.ones_like(s)
     y = 0.0
-    corner = np.maximum.outer(free, free)
-    diag = np.arange(n)
     kkt = np.zeros((n + 1, n + 1))
     kkt[n, :n] = kkt[:n, n] = 1.0
+    kkt_diag = kkt.reshape(-1)[:n * (n + 2):n + 2]   # a view of the first n diagonal entries
+    rhs = np.empty(n + 1)
 
     def direction(r_c):
         """Newton step for complementarity target r_c = s z - target."""
-        rhs = np.append(-r_d - gt_mul((z * r_p - r_c) / s), -r_e)
+        rhs[:n] = -r_d - Gf.T @ ((z * r_p - r_c) / s)
         sol = np.linalg.solve(kkt, rhs)
-        dx = np.zeros(T)
-        dx[free] = sol[:n]
-        ds = -r_p - g_mul(dx)
+        dx = sol[:n]
+        ds = -r_p - Gf @ dx
         return dx, sol[n], ds, -(r_c + z * ds) / s
 
     step = 0
     while True:
         _, grad, hess = _hourly_terms(x, problem, check=False)
-        r_d = grad[free] + gt_mul(z) + y
-        r_p = g_mul(x) + s - h
-        r_e = float(np.sum(x)) - delta
-        mu = float(np.dot(s, z)) / s.size
+        r_d = grad[free] + Gf.T @ z + y
+        r_p = G @ x + s - h
+        r_e = float(x.sum()) - delta
+        mu = float(s @ z) / s.size
         # relative to the gradient, so that the test is reachable in floating
         # point on horizons whose cost is larger
-        res_d = float(np.max(np.abs(r_d))) / max(1.0, float(np.max(np.abs(grad))))
-        res_p = float(np.max(np.abs(r_p)))
+        res_d = float(np.abs(r_d).max()) / max(1.0, float(np.abs(grad).max()))
+        res_p = float(np.abs(r_p).max())
         converged = (res_d <= opts.optimality_tol and res_p <= opts.feasibility_tol
                      and abs(r_e) <= opts.feasibility_tol and mu <= opts.optimality_tol)
         if converged or step >= opts.max_iterations:
             break
 
-        w = z / s
-        kkt[:n, :n] = suffix(w[full] + w[empty])[corner]
-        kkt[diag, diag] += np.maximum(hess[free], HESSIAN_FLOOR) + w[upper] + w[lower]
+        kkt[:n, :n] = Gf.T @ ((z / s)[:, None] * Gf)
+        kkt_diag += np.maximum(hess[free], HESSIAN_FLOOR)
+        rhs[n] = -r_e
         # predictor: the pure Newton step, which sets the centring weight
         r_c = s * z
         try:
@@ -479,12 +462,12 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
         except np.linalg.LinAlgError:
             break   # W outgrew floating point before the tolerances were met
         alpha = min(1.0, _max_step(s, ds, z, dz))
-        mu_aff = float(np.dot(s + alpha * ds, z + alpha * dz)) / s.size
+        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / s.size
         sigma = min(1.0, (mu_aff / mu) ** 3)
         # corrector: centre towards sigma * mu and cancel the second-order term
         dx, dy, ds, dz = direction(r_c + ds * dz - sigma * mu)
         alpha = min(1.0, STEP_TO_BOUNDARY * _max_step(s, ds, z, dz))
-        x += alpha * dx
+        x[free] += alpha * dx
         s += alpha * ds
         z += alpha * dz
         y += alpha * dy
@@ -496,14 +479,14 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
 
 
 def _max_step(s, ds, z, dz) -> float:
-    """Largest alpha in (0, inf) keeping s + alpha ds and z + alpha dz >= 0."""
-    v = np.concatenate([s, z])
-    dv = np.concatenate([ds, dz])
-    neg = dv < 0.0
-    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+    """Largest alpha in (0, inf] keeping s + alpha ds and z + alpha dz >= 0."""
+    neg_s, neg_z = ds < 0.0, dz < 0.0
+    return float(min((-s[neg_s] / ds[neg_s]).min(initial=np.inf),
+                     (-z[neg_z] / dz[neg_z]).min(initial=np.inf)))
 
 
-def operator_heuristic(problem: ScheduleProblem) -> StorageSchedule:
+def operator_heuristic(problem: ScheduleProblem,
+                       bounds: tuple[np.ndarray, np.ndarray] | None = None) -> StorageSchedule:
     """Rule-of-thumb schedule mirroring manual tank operation.
 
     Top up the tank in the early morning (hours 0-5), discharge evenly over
@@ -511,14 +494,15 @@ def operator_heuristic(problem: ScheduleProblem) -> StorageSchedule:
     to the terminal state. Every step clamps to the rate, tank and chiller
     limits; the discharge budget is sized to what the evening hours can put
     back, so the result is feasible whenever the boundary states can be
-    bridged within this phase structure at all.
+    bridged within this phase structure at all. `bounds` is the problem's
+    `hour_bounds` when the caller has them already; they are computed if None.
     """
     T = problem.horizon
     if T != HOURS_PER_DAY:
         raise InfeasibleStartError(
             f"operator heuristic needs a 24-hour midnight-aligned day, got T={T}")
     tes = problem.tes
-    lo, hi = hour_bounds(problem)
+    lo, hi = hour_bounds(problem) if bounds is None else bounds
 
     q = np.zeros(T)
     e = tes.e_initial
@@ -654,7 +638,7 @@ def dp_oracle(problem: ScheduleProblem,
         idx += shifts[j]
 
     schedule = StorageSchedule.from_rates(q, tes)
-    _, _, p_ch = _power_arrays(q, problem)
+    p_ch = _power_arrays(q, problem)[3]
     return OptimalSchedule(
         schedule=schedule,
         objective=objective(q, problem),

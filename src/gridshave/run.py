@@ -62,8 +62,8 @@ def build_problems(scenario: Scenario,
             target, mode = day_means[k], "same-day"
         problems.append((
             ScheduleProblem(
-                p_base=day.p_base, q_cool=day.q_cool, q_s_c=day.q_s_c,
-                twb=day.twb, p_mean=target, tes=tes, cop_model=cop_model),
+                p_base=day.p_base, q_cool=day.q_cool, twb=day.twb,
+                p_mean=target, tes=tes, cop_model=cop_model),
             mode,
         ))
     return problems

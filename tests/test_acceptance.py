@@ -84,7 +84,7 @@ def test_criterion_4_oracle_equivalence(T):
     p_base = 30.0 + 8.0 * np.sin(np.linspace(0.0, np.pi, T)) + rng.uniform(-1.0, 1.0, T)
     q_cool = 80.0 + 40.0 * np.sin(np.linspace(0.0, np.pi, T))
     problem = ScheduleProblem(
-        p_base=p_base, q_cool=q_cool, q_s_c=np.full(T, 10.0),
+        p_base=p_base, q_cool=q_cool,
         twb=np.full(T, 24.0), p_mean=float(np.mean(p_base)) + 18.0,
         tes=TesConfig(e_initial=100.0, e_terminal=100.0),
         cop_model=DEFAULT_COP_MODEL)

@@ -168,6 +168,20 @@ def test_check_schedule_rate_violation(tes):
     assert ("rate", 4) in kinds
 
 
+def test_check_schedule_non_finite_rate(tes):
+    q = np.zeros(6)
+    q[3], q[5] = np.nan, np.inf
+    s = StorageSchedule.from_rates(q, tes)
+    assert [(v.kind, v.hour) for v in check_schedule(s, tes)] == [
+        ("non_finite", 3), ("non_finite", 5)]
+
+
+def test_check_schedule_non_finite_stored_energy(tes):
+    s = StorageSchedule(q_stor=np.zeros(3), e_stor=np.array([tes.e_initial, np.nan,
+                                                             tes.e_initial, tes.e_initial]))
+    assert [(v.kind, v.hour) for v in check_schedule(s, tes)] == [("trajectory", 1)]
+
+
 def test_check_schedule_terminal_violation(tes):
     q = np.full(24, -5.0)
     s = StorageSchedule.from_rates(q, tes)

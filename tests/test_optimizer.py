@@ -1,8 +1,10 @@
+import math
 import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ def _constant_problem(T=24, p_base=30.0, q_cool=80.0, twb=22.0, p_mean_offset=0.
     g0 = p_base + q_cool / cop
     return ScheduleProblem(
         p_base=np.full(T, p_base), q_cool=np.full(T, q_cool),
-        q_s_c=np.full(T, 10.0), twb=np.full(T, twb),
+        twb=np.full(T, twb),
         p_mean=g0 + p_mean_offset, tes=tes, cop_model=DEFAULT_COP_MODEL)
 
 
@@ -104,12 +106,12 @@ def test_objective_symmetric_two_hours():
     tes = TesConfig()
     base = ScheduleProblem(
         p_base=np.array([32.0, 30.0]), q_cool=np.full(2, 80.0),
-        q_s_c=np.full(2, 10.0), twb=np.full(2, 22.0),
+        twb=np.full(2, 22.0),
         p_mean=1.0, tes=tes, cop_model=DEFAULT_COP_MODEL)
     g = generation_profile(np.zeros(2), base)
     assert g[0] - g[1] == pytest.approx(2.0, abs=1e-12)
     problem = ScheduleProblem(
-        p_base=base.p_base, q_cool=base.q_cool, q_s_c=base.q_s_c, twb=base.twb,
+        p_base=base.p_base, q_cool=base.q_cool, twb=base.twb,
         p_mean=float(g[0]) - 1.0, tes=tes, cop_model=DEFAULT_COP_MODEL)
     assert objective(np.zeros(2), problem) == pytest.approx(2.0, abs=1e-9)
 
@@ -303,7 +305,7 @@ def test_hour_bounds_contain_zero_when_zero_storage_admissible(q_cool, twb, rate
     model = replace(DEFAULT_COP_MODEL, c1=c1, c3=c3, cop_floor=cop_floor)
     tes = TesConfig(rate_max=rate_max)
     problem = ScheduleProblem(
-        p_base=np.full(4, 30.0), q_cool=np.array(q_cool), q_s_c=np.full(4, 10.0),
+        p_base=np.full(4, 30.0), q_cool=np.array(q_cool),
         twb=np.array(twb), p_mean=40.0, tes=tes, cop_model=model)
     margin = cop_values(problem.q_cool / tes.q_ch_max, problem.twb, model) - cop_floor
     assume(np.all(np.abs(margin) > 1e-9))
@@ -319,6 +321,88 @@ def test_hour_bounds_contain_zero_when_zero_storage_admissible(q_cool, twb, rate
             assert np.all(cop_values(plr, problem.twb, model) >= cop_floor - 1e-9)
 
 
+def _reference_plr_interval(twb: float, m: CopModel, plr_ref: float) -> tuple[float, float]:
+    """Scalar reference: the connected {plr in [0, 1]: cop >= floor} segment
+    holding plr_ref, from the cancellation-free root formula."""
+    a = m.c3
+    b = m.c1 + m.c4 * twb
+    c = m.c0 + m.c2 * twb + m.c5 * twb * twb - m.cop_floor
+    if a == 0.0:
+        if b == 0.0:
+            return (0.0, 1.0)
+        root = -c / b
+        return (max(0.0, root), 1.0) if b > 0.0 else (0.0, min(1.0, root))
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return (0.0, 1.0)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    r1, r2 = q / a, c / q
+    lo_root, hi_root = min(r1, r2), max(r1, r2)
+    if a < 0.0:
+        return (max(0.0, lo_root), min(1.0, hi_root))
+    if plr_ref <= lo_root:
+        return (0.0, min(1.0, lo_root))
+    return (max(0.0, hi_root), 1.0)
+
+
+def _reference_hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar reference of `hour_bounds`: one hour at a time, first error wins."""
+    tes, m = problem.tes, problem.cop_model
+    lo, hi = np.empty(problem.horizon), np.empty(problem.horizon)
+    for t in range(problem.horizon):
+        q_cool, twb = problem.q_cool[t], float(problem.twb[t])
+        if not 0.0 <= q_cool <= tes.q_ch_max:
+            raise InfeasibleStartError(
+                f"hour {t}: cooling demand {q_cool} MW outside [0, {tes.q_ch_max}] MW")
+        p = q_cool / tes.q_ch_max
+        if m.c3 * p * p + (m.c1 + m.c4 * twb) * p \
+                + (m.c0 + m.c2 * twb + m.c5 * twb * twb - m.cop_floor) <= 0.0:
+            raise InfeasibleStartError(
+                f"hour {t}: zero-storage operating point violates the COP floor (COP at "
+                f"plr={p:.4f}, twb={twb:.2f} is at or below the floor)")
+        plr_lo, plr_hi = _reference_plr_interval(twb, m, p)
+        lo[t] = max(-tes.rate_max, plr_lo * tes.q_ch_max - q_cool)
+        hi[t] = min(tes.rate_max, plr_hi * tes.q_ch_max - q_cool)
+        if lo[t] > hi[t]:
+            raise InfeasibleStartError(f"hour {t}: empty feasible storage-rate interval")
+    return lo, hi
+
+
+#: COP curvatures near zero of both signs, subnormals included.
+NEAR_ZERO_C3 = st.one_of(st.floats(-1e-6, 1e-6),
+                         st.sampled_from([5e-324, -5e-324, 1e-320, -1e-320, 1e-300, -1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_cool=st.lists(st.floats(-1.0, 160.0), min_size=4, max_size=4),
+       twb=st.lists(st.floats(10.0, 30.0), min_size=4, max_size=4),
+       rate_max=st.floats(0.0, 40.0),
+       c1=st.floats(-12.0, 4.0), c3=st.one_of(st.floats(-10.0, 12.0), NEAR_ZERO_C3),
+       cop_floor=st.floats(0.5, 4.0))
+def test_hour_bounds_match_scalar_reference(q_cool, twb, rate_max, c1, c3, cop_floor):
+    model = replace(DEFAULT_COP_MODEL, c1=c1, c3=c3, cop_floor=cop_floor)
+    problem = ScheduleProblem(
+        p_base=np.full(4, 30.0), q_cool=np.array(q_cool), twb=np.array(twb),
+        p_mean=40.0, tes=TesConfig(rate_max=rate_max), cop_model=model)
+    try:
+        expected = _reference_hour_bounds(problem)
+    except InfeasibleStartError as exc:
+        # the same error for the same first hour
+        with pytest.raises(type(exc)) as got:
+            hour_bounds(problem)
+        assert str(got.value) == str(exc)
+        return
+    for ours, ref in zip(hour_bounds(problem), expected):
+        assert np.all(np.abs(ours - ref) <= np.spacing(np.abs(ref)))   # 1 ulp
+
+
+def test_solve_calls_hour_bounds_once(first_day_problem, monkeypatch):
+    counted = mock.Mock(wraps=hour_bounds)
+    monkeypatch.setattr(gridshave.optimizer, "hour_bounds", counted)
+    solve(first_day_problem)
+    assert counted.call_count == 1
+
+
 @pytest.mark.parametrize("c3", [0.0, 1e-320, 1e-300, -1e-300, 1e-12, -1e-12])
 def test_hour_bounds_tiny_quadratic_cop_term(c3):
     # COP falls through the floor at plr = 0.74 on a near-linear surface; a
@@ -327,7 +411,7 @@ def test_hour_bounds_tiny_quadratic_cop_term(c3):
     tes = TesConfig(rate_max=150.0)
     problem = ScheduleProblem(
         p_base=np.full(2, 30.0), q_cool=np.full(2, 0.1 * tes.q_ch_max),
-        q_s_c=np.full(2, 10.0), twb=np.full(2, 10.0), p_mean=40.0, tes=tes,
+        twb=np.full(2, 10.0), p_mean=40.0, tes=tes,
         cop_model=model)
     _, hi = hour_bounds(problem)
     assert hi == pytest.approx(np.full(2, 0.64 * tes.q_ch_max), rel=1e-9)
@@ -374,7 +458,7 @@ def test_solve_non_convex_cop_surface_returns_feasible_schedule(first_day_proble
 def test_solve_converges_on_multi_day_horizon(synth_scenario):
     # one 72-hour problem: a larger cost than a day's, same tolerances
     sc = synth_scenario
-    problem = ScheduleProblem(p_base=sc.p_base, q_cool=sc.q_cool, q_s_c=sc.q_s_c,
+    problem = ScheduleProblem(p_base=sc.p_base, q_cool=sc.q_cool,
                               twb=sc.twb, p_mean=46.0, tes=TesConfig(),
                               cop_model=DEFAULT_COP_MODEL)
     res = solve(problem)
@@ -427,7 +511,7 @@ def test_dp_matches_exhaustive_enumeration():
                     e_terminal=100.0, q_ch_max=156.5)
     problem = ScheduleProblem(
         p_base=np.array([30.0, 34.0]), q_cool=np.array([70.0, 90.0]),
-        q_s_c=np.full(2, 10.0), twb=np.full(2, 22.0),
+        twb=np.full(2, 22.0),
         p_mean=40.0, tes=tes, cop_model=DEFAULT_COP_MODEL)
     res = dp_oracle(problem, action_step=10.0, soc_step=10.0)
 
@@ -457,7 +541,7 @@ def test_dp_refinement_never_increases_objective():
     p24 = build_problems(scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, tes)[0][0]
     problem = ScheduleProblem(
         p_base=p24.p_base[10:16], q_cool=p24.q_cool[10:16],
-        q_s_c=p24.q_s_c[10:16], twb=p24.twb[10:16],
+        twb=p24.twb[10:16],
         p_mean=p24.p_mean, tes=tes, cop_model=DEFAULT_COP_MODEL)
     coarse = dp_oracle(problem, action_step=2.0, soc_step=1.0)
     fine = dp_oracle(problem, action_step=1.0, soc_step=0.5)
@@ -483,7 +567,7 @@ def test_solve_consistent_with_dp(T):
     q_cool = 80.0 + 40.0 * np.sin(np.linspace(0.0, np.pi, T))
     tes = TesConfig(e_initial=100.0, e_terminal=100.0)
     problem = ScheduleProblem(
-        p_base=p_base, q_cool=q_cool, q_s_c=np.full(T, 10.0),
+        p_base=p_base, q_cool=q_cool,
         twb=np.full(T, 24.0), p_mean=float(np.mean(p_base)) + 18.0,
         tes=tes, cop_model=DEFAULT_COP_MODEL)
     dp = dp_oracle(problem, action_step=0.5, soc_step=0.5)
@@ -544,15 +628,15 @@ def test_feasible_start_zero_when_boundaries_equal(first_day_problem):
 def test_schedule_problem_validation():
     with pytest.raises(ShapeError):
         ScheduleProblem(p_base=np.array([30.0]), q_cool=np.array([50.0]),
-                        q_s_c=np.array([5.0]), twb=np.array([20.0]),
+                        twb=np.array([20.0]),
                         p_mean=40.0, tes=TesConfig(), cop_model=DEFAULT_COP_MODEL)
     with pytest.raises(ShapeError):
         ScheduleProblem(p_base=np.full(4, 30.0), q_cool=np.full(3, 50.0),
-                        q_s_c=np.full(4, 5.0), twb=np.full(4, 20.0),
+                        twb=np.full(4, 20.0),
                         p_mean=40.0, tes=TesConfig(), cop_model=DEFAULT_COP_MODEL)
     with pytest.raises(ValueError):
         ScheduleProblem(p_base=np.full(4, 30.0), q_cool=np.full(4, 50.0),
-                        q_s_c=np.full(4, 5.0), twb=np.full(4, 20.0),
+                        twb=np.full(4, 20.0),
                         p_mean=0.0, tes=TesConfig(), cop_model=DEFAULT_COP_MODEL)
 
 

@@ -156,6 +156,14 @@ def test_evaluate_fixed_schedule_infeasible_names_day(synth_scenario):
                                 DEFAULT_COP_MODEL, DEFAULT_TES)
 
 
+def test_evaluate_fixed_schedule_non_finite_rate_names_day(synth_scenario):
+    q = np.zeros(len(synth_scenario))
+    q[3] = np.nan   # chiller power at hour 3 would silently read 0
+    with pytest.raises(InfeasibleScheduleError, match="^day 0: .*non_finite at hour 3"):
+        evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT,
+                                DEFAULT_COP_MODEL, DEFAULT_TES)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

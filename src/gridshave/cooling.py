@@ -250,16 +250,22 @@ def check_schedule(schedule: StorageSchedule, tes: TesConfig,
     """
     q = schedule.q_stor
     e = schedule.e_stor
-    bad = np.flatnonzero(~np.isfinite(q))
-    if bad.size:
-        return [Violation("non_finite", int(i), float(q[i]), tes.rate_max) for i in bad]
-    out: list[Violation] = []
-
+    rates_ok = np.abs(q).max(initial=0.0) <= tes.rate_max + tol   # False for nan or inf too
+    if not rates_ok:
+        bad = np.flatnonzero(~np.isfinite(q))
+        if bad.size:
+            return [Violation("non_finite", int(i), float(q[i]), tes.rate_max) for i in bad]
     recomputed = np.empty_like(e)
     recomputed[0] = e[0]
     np.cumsum(q, out=recomputed[1:])
     recomputed[1:] += e[0]
     drift = np.abs(e - recomputed)
+    # all clear in one vectorized test, as a nan fails every comparison in it;
+    # otherwise each kind of limit is scanned for its violations
+    if (rates_ok and drift.max() <= tol and -tol <= e.min() and e.max() <= tes.e_max + tol
+            and abs(e[0] - tes.e_initial) <= tol and abs(e[-1] - tes.e_terminal) <= tol):
+        return []
+    out: list[Violation] = []
     for i in np.nonzero(~(drift <= tol))[0]:   # a nan stored energy drifts too
         out.append(Violation("trajectory", int(i), float(e[i]), float(recomputed[i])))
 

@@ -20,8 +20,12 @@ uses this structure in a primal-dual interior-point Newton method with
 Mehrotra's predictor-corrector (Boyd & Vandenberghe, Convex Optimization,
 ch. 11; Mehrotra 1992). The box and stored-energy rows form one dense
 constraint matrix, built once per solve, so every product with it is one
-matrix product; each step solves one (T+1) x (T+1) linear system with numpy,
-and nothing beyond numpy is needed.
+matrix product; each step solves two (T+1) x (T+1) linear systems with numpy
+(predictor and corrector), and nothing beyond numpy is needed. The per-hour
+COP coefficients are computed once per solve (`_HourlyCost`), and the slacks
+and duals are the two halves of one buffer. The start, the solver point and
+the operator heuristic are each checked once (`check_schedule`) and scored
+by one validated pass; the best feasible one is returned.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -89,8 +93,14 @@ class ScheduleProblem:
         for name in ("q_cool", "twb"):
             if getattr(self, name).shape != (T,):
                 raise ShapeError(f"{name} length differs from p_base length {T}")
-        if not self.p_mean > 0.0:
-            raise ValueError(f"p_mean must be positive, got {self.p_mean}")
+        for name in ("p_base", "q_cool", "twb"):
+            arr = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                t = int(bad[0])
+                raise ValueError(f"hour {t}: {name} is {arr[t]}, not a finite number")
+        if not 0.0 < self.p_mean < math.inf:
+            raise ValueError(f"p_mean must be positive and finite, got {self.p_mean}")
 
     @property
     def horizon(self) -> int:
@@ -211,86 +221,121 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _power_arrays(q_stor: np.ndarray, problem: ScheduleProblem, check: bool = True
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(plr, b, cop, p_ch) per hour, from the per-hour coefficients
-    b(t) = c1 + c4 twb and c(t) = c0 + c2 twb + c5 twb^2 of
-    cop = c(t) + (b(t) + c3 plr) plr. With check, validates capacity and COP
-    floor and clamps plr to [0, 1]; without, q_stor must lie in `hour_bounds`."""
+def _chiller_power(q_stor: np.ndarray, problem: ScheduleProblem) -> np.ndarray:
+    """p_ch per hour, validated: raises on a discharge above the cooling
+    demand, a chiller output above capacity or a COP at or below its floor,
+    and clamps plr to [0, 1]."""
     tes = problem.tes
     m = problem.cop_model
     twb = problem.twb
     q_ch = problem.q_cool + q_stor
-    plr = q_ch / tes.q_ch_max
-    b = m.c1 + m.c4 * twb
-    if check:
-        bad = np.nonzero(q_ch < -1e-9)[0]
-        if bad.size:
-            t = int(bad[0])
-            raise InfeasibleDischargeError(
-                f"hour {t}: discharge {-q_stor[t]:.3f} MW exceeds cooling demand "
-                f"{problem.q_cool[t]:.3f} MW")
-        bad = np.nonzero(q_ch > tes.q_ch_max + 1e-9)[0]
-        if bad.size:
-            t = int(bad[0])
-            raise ChillerCapacityError(
-                f"hour {t}: chiller output {q_ch[t]:.3f} MW exceeds capacity "
-                f"{tes.q_ch_max} MW")
-        plr = np.clip(plr, 0.0, 1.0)
-    cop = m.c0 + (m.c2 + m.c5 * twb) * twb + (b + m.c3 * plr) * plr
-    if not check:
-        return plr, b, cop, q_ch / cop
+    bad = np.nonzero(q_ch < -1e-9)[0]
+    if bad.size:
+        t = int(bad[0])
+        raise InfeasibleDischargeError(
+            f"hour {t}: discharge {-q_stor[t]:.3f} MW exceeds cooling demand "
+            f"{problem.q_cool[t]:.3f} MW")
+    bad = np.nonzero(q_ch > tes.q_ch_max + 1e-9)[0]
+    if bad.size:
+        t = int(bad[0])
+        raise ChillerCapacityError(
+            f"hour {t}: chiller output {q_ch[t]:.3f} MW exceeds capacity "
+            f"{tes.q_ch_max} MW")
+    plr = np.clip(q_ch / tes.q_ch_max, 0.0, 1.0)
+    cop = m.c0 + (m.c2 + m.c5 * twb) * twb + (m.c1 + m.c4 * twb + m.c3 * plr) * plr
     bad = np.nonzero(cop <= m.cop_floor)[0]
     if bad.size:
         t = int(bad[0])
         raise DegenerateCopError(
             f"hour {t}: COP {cop[t]:.4f} at plr={plr[t]:.4f}, twb={twb[t]:.2f} "
             f"is at or below floor {m.cop_floor}")
-    return plr, b, cop, np.where(q_ch > 0.0, q_ch / cop, 0.0)
+    return np.where(q_ch > 0.0, q_ch / cop, 0.0)
+
+
+def _checked_rates(q_stor, problem: ScheduleProblem) -> np.ndarray:
+    q = np.asarray(q_stor, dtype=float)
+    if q.shape != (problem.horizon,):
+        raise ShapeError(f"q_stor shape {q.shape} != horizon {problem.horizon}")
+    return q
 
 
 def generation_profile(q_stor, problem: ScheduleProblem) -> np.ndarray:
     """Total generation G(t) for a storage schedule."""
-    q = np.asarray(q_stor, dtype=float)
-    if q.shape != (problem.horizon,):
-        raise ShapeError(f"q_stor shape {q.shape} != horizon {problem.horizon}")
-    return problem.p_base + _power_arrays(q, problem)[3]
+    return problem.p_base + _chiller_power(_checked_rates(q_stor, problem), problem)
 
 
-def _hourly_terms(q_stor, problem: ScheduleProblem,
-                  check: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over `_power_arrays`: the residual G(t) - p_mean and the first
-    and second derivative of each hour's cost (G(t) - p_mean)^2 in q_stor(t).
+def flatness(generation: np.ndarray, p_mean: float) -> float:
+    """Sum of squared deviations of a generation profile from the flat target, MW^2."""
+    r = generation - p_mean
+    return float(np.dot(r, r))
+
+
+def _score(q_stor: np.ndarray, problem: ScheduleProblem) -> tuple[float, np.ndarray]:
+    """(objective, p_ch) of a schedule from one validated `_chiller_power` pass."""
+    p_ch = _chiller_power(q_stor, problem)
+    return flatness(problem.p_base + p_ch, problem.p_mean), p_ch
+
+
+class _HourlyCost:
+    """Each hour's cost (G(t) - p_mean)^2 and its derivatives in q_stor(t),
+    from the per-hour COP coefficients b(t) = c1 + c4 twb and
+    c(t) = c0 + c2 twb + c5 twb^2 of cop = c(t) + (b(t) + c3 plr) plr,
+    computed once per problem.
 
     Chain rule through p_ch = q_ch / cop(plr), plr = q_ch / q_ch_max, with
     cop' = dcop/dplr = b(t) + 2 c3 plr and cop'' = 2 c3:
         dp_ch/dq_ch   = (cop - plr cop') / cop^2
         d2p_ch/dq_ch2 = (2 plr cop'^2 - cop (2 cop' + plr cop'')) / (q_ch_max cop^3)
-    Without check, q_stor must be a float array of the horizon's length.
+    `gradient` keeps what `hessian` needs at its point, so a pass that needs
+    no second derivatives computes none. The rates are not validated: they
+    must lie in `hour_bounds`.
     """
-    if check:
-        q_stor = np.asarray(q_stor, dtype=float)
-        if q_stor.shape != (problem.horizon,):
-            raise ShapeError(f"q_stor shape {q_stor.shape} != horizon {problem.horizon}")
-    plr, b, cop, p_ch = _power_arrays(q_stor, problem, check)
-    c3 = problem.cop_model.c3
-    slope = b + 2.0 * c3 * plr
-    dp = (cop - plr * slope) / (cop * cop)
-    d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + 2.0 * c3 * plr))
-           / (problem.tes.q_ch_max * cop * cop * cop))
-    r = problem.p_base + p_ch - problem.p_mean
-    return r, 2.0 * r * dp, 2.0 * (dp * dp + r * d2p)
+
+    def __init__(self, problem: ScheduleProblem):
+        m = problem.cop_model
+        twb = problem.twb
+        self.problem = problem
+        self.b = m.c1 + m.c4 * twb
+        self.c = m.c0 + (m.c2 + m.c5 * twb) * twb
+        self.c3_2 = 2.0 * m.c3
+        self.point = None
+
+    def gradient(self, q_stor: np.ndarray) -> np.ndarray:
+        problem = self.problem
+        q_ch = problem.q_cool + q_stor
+        plr = q_ch / problem.tes.q_ch_max
+        cop = self.c + (self.b + problem.cop_model.c3 * plr) * plr
+        curvature = self.c3_2 * plr          # plr cop''
+        slope = self.b + curvature           # cop'
+        dp = (cop - plr * slope) / (cop * cop)
+        r = problem.p_base + q_ch / cop - problem.p_mean
+        self.point = plr, cop, curvature, slope, dp, r
+        return 2.0 * r * dp
+
+    def hessian(self) -> np.ndarray:
+        """Second derivatives at the point of the last `gradient` call."""
+        plr, cop, curvature, slope, dp, r = self.point
+        d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + curvature))
+               / (self.problem.tes.q_ch_max * cop * cop * cop))
+        return 2.0 * (dp * dp + r * d2p)
 
 
 def objective(q_stor, problem: ScheduleProblem) -> float:
     """Sum of squared deviations of generation from the flat target, MW^2."""
-    r, _, _ = _hourly_terms(q_stor, problem)
-    return float(np.dot(r, r))
+    return flatness(generation_profile(q_stor, problem), problem.p_mean)
+
+
+def _validated_cost(q_stor, problem: ScheduleProblem) -> tuple[_HourlyCost, np.ndarray]:
+    """(cost terms, gradient) at q_stor after the checks of `_chiller_power`."""
+    q = _checked_rates(q_stor, problem)
+    _chiller_power(q, problem)
+    cost = _HourlyCost(problem)
+    return cost, cost.gradient(q)
 
 
 def gradient(q_stor, problem: ScheduleProblem) -> np.ndarray:
     """Analytic d(objective)/d(q_stor), matching central finite differences."""
-    _, grad, _ = _hourly_terms(q_stor, problem)
+    _, grad = _validated_cost(q_stor, problem)
     if not np.all(np.isfinite(grad)):
         t = int(np.nonzero(~np.isfinite(grad))[0][0])
         raise FloatingPointError(f"non-finite gradient component at hour {t}")
@@ -300,8 +345,8 @@ def gradient(q_stor, problem: ScheduleProblem) -> np.ndarray:
 def hessian_diagonal(q_stor, problem: ScheduleProblem) -> np.ndarray:
     """Analytic d2(objective)/d(q_stor)^2; the Hessian is diagonal because
     each hour's cost depends on that hour's rate alone."""
-    _, _, hess = _hourly_terms(q_stor, problem)
-    return hess
+    cost, _ = _validated_cost(q_stor, problem)
+    return cost.hessian()
 
 
 def feasible_start(problem: ScheduleProblem,
@@ -331,13 +376,14 @@ def solve(problem: ScheduleProblem,
     """Minimize the flatness objective over feasible storage schedules.
 
     One interior-point Newton solve (`_interior_point`) from the zero/ramp
-    start, capped at `max_iterations` steps. The returned point is the best
-    of the solver point (when it passes `check_schedule`), the start and (for
-    24-hour problems) the operator heuristic, so it never loses to either
-    reference schedule. `converged` is True when the dual, primal and
-    terminal residuals and the mean complementarity all fell below
-    tolerance; `message` records them. Deterministic for identical inputs
-    and options.
+    start, capped at `max_iterations` steps. The candidates are the start,
+    the solver point and (for 24-hour problems) the operator heuristic; each
+    is checked once with `check_schedule` and scored by one validated
+    `_chiller_power` pass, and the best one that passes is returned, so the
+    result never loses to either reference schedule. `converged` is True
+    when the dual, primal and terminal residuals and the mean
+    complementarity all fell below tolerance; `message` records them.
+    Deterministic for identical inputs and options.
     """
     T = problem.horizon
     tes = problem.tes
@@ -347,23 +393,26 @@ def solve(problem: ScheduleProblem,
     # restore the terminal state exactly; the uniform shift is orders of
     # magnitude below feasibility_tol and keeps all other limits within it
     x = x + (tes.e_terminal - tes.e_initial - float(np.sum(x))) / T
+    candidates = [StorageSchedule.from_rates(x0, tes), StorageSchedule.from_rates(x, tes)]
+    heur = None
+    if T == HOURS_PER_DAY:
+        heur = operator_heuristic(problem, bounds=(lo, hi))
+        candidates.append(heur)
     # a capped solve may stop short of the stored-energy limits
-    candidates = [x0]
-    if not check_schedule(StorageSchedule.from_rates(x, tes), tes, tol=opts.feasibility_tol):
-        candidates.append(x)
-    heur = operator_heuristic(problem, bounds=(lo, hi)) if T == HOURS_PER_DAY else None
-    if heur is not None and not check_schedule(heur, tes, tol=opts.feasibility_tol):
-        candidates.append(heur.q_stor)
-    best_obj, best = min(((objective(q, problem), q) for q in candidates),
-                         key=lambda c: c[0])
-
-    schedule = StorageSchedule.from_rates(best, tes)
-    violations = check_schedule(schedule, tes, tol=opts.feasibility_tol)
-    if violations:
+    best, rejected = None, []
+    for schedule in candidates:
+        violations = check_schedule(schedule, tes, tol=opts.feasibility_tol)
+        if violations:
+            rejected.append(violations)
+            continue
+        obj, p_ch = _score(schedule.q_stor, problem)
+        if best is None or obj < best[0]:   # the first of equal objectives wins
+            best = obj, schedule, p_ch
+    if best is None:
         raise InfeasibleStartError(
-            "solver returned an infeasible schedule: "
-            + "; ".join(str(v) for v in violations))
-    p_ch = _power_arrays(best, problem)[3]
+            "every candidate schedule is infeasible; the start: "
+            + "; ".join(str(v) for v in rejected[0]))
+    best_obj, schedule, p_ch = best
     return OptimalSchedule(
         schedule=schedule,
         objective=best_obj,
@@ -387,7 +436,9 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
     is the lower-triangular matrix of ones. They are the rows of one dense
     matrix G = [I_f; -I_f; L; -L], built once per solve, in G x + s = h with
     slack s >= 0 and dual z >= 0 (I_f: the identity rows of the free hours);
-    the terminal row sum(x) = delta has multiplier y.
+    the terminal row sum(x) = delta has multiplier y. s and z are the two
+    halves of one buffer, and so are their steps ds and dz, so the step to
+    the boundary is one masked minimum and the update one in-place add.
 
     Eliminating s and z leaves the reduced KKT system over the free hours
 
@@ -396,7 +447,13 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
 
     where Gf holds G's columns of the free hours and H is the diagonal of
     `hessian_diagonal` (floored at HESSIAN_FLOOR). Every product with G, Gf'
-    or Gf'WGf is one matrix product.
+    (kept contiguous) or Gf'WGf is one matrix product.
+
+    The hourly cost terms come from one `_HourlyCost`, whose per-hour
+    constants are computed once per solve; its second derivatives are
+    evaluated only on the steps actually taken. The residual norms are
+    computed only once the mean complementarity and the terminal residual
+    are within tolerance, and for `message` at exit.
 
     The start is strictly inside the box. A full tank puts the zero schedule
     on the e_max edge, so every stored-energy row starts with a slack of at
@@ -417,72 +474,83 @@ def _interior_point(problem: ScheduleProblem, lo: np.ndarray, hi: np.ndarray,
     box, tri = np.eye(T)[free], np.tri(T - 1, T)
     G = np.vstack([box, -box, tri, -tri])
     Gf = G[:, free]
+    GfT = np.ascontiguousarray(Gf.T)
     h = np.concatenate([hi[free], -lo[free], np.full(T - 1, tes.e_max - tes.e_initial),
                         np.full(T - 1, tes.e_initial)])
-    s = h - G @ x
+    k = h.size
+    sz, dsz = np.empty(2 * k), np.empty(2 * k)
+    s, z, ds, dz = sz[:k], sz[k:], dsz[:k], dsz[k:]
+    s[:] = h - G @ x
     s[2 * n:] = np.maximum(s[2 * n:], tes.rate_max)
-    z = np.ones_like(s)
+    z[:] = 1.0
     y = 0.0
     kkt = np.zeros((n + 1, n + 1))
     kkt[n, :n] = kkt[:n, n] = 1.0
     kkt_diag = kkt.reshape(-1)[:n * (n + 2):n + 2]   # a view of the first n diagonal entries
     rhs = np.empty(n + 1)
+    cost = _HourlyCost(problem)
+
+    def residual_norms():
+        # the dual one relative to the gradient, so that the test is
+        # reachable in floating point on horizons whose cost is larger
+        return (float(np.abs(neg_r_d).max()) / max(1.0, float(np.abs(grad).max())),
+                float(np.abs(neg_r_p).max()))
 
     def direction(r_c):
-        """Newton step for complementarity target r_c = s z - target."""
-        rhs[:n] = -r_d - Gf.T @ ((z * r_p - r_c) / s)
+        """Newton step for complementarity target r_c = s z - target; fills ds, dz."""
+        np.subtract(neg_r_d, GfT @ ((z_neg_r_p + r_c) / neg_s), out=rhs[:n])
         sol = np.linalg.solve(kkt, rhs)
-        dx = sol[:n]
-        ds = -r_p - Gf @ dx
-        return dx, sol[n], ds, -(r_c + z * ds) / s
+        np.subtract(neg_r_p, Gf @ sol[:n], out=ds)
+        np.divide(r_c + z * ds, neg_s, out=dz)
+        return sol
 
     step = 0
     while True:
-        _, grad, hess = _hourly_terms(x, problem, check=False)
-        r_d = grad[free] + Gf.T @ z + y
-        r_p = G @ x + s - h
+        grad = cost.gradient(x)
+        # the residuals are kept negated, as the right-hand sides use them
+        neg_r_d = -(grad[free] + GfT @ z + y)
+        neg_r_p = h - (G @ x + s)
         r_e = float(x.sum()) - delta
-        mu = float(s @ z) / s.size
-        # relative to the gradient, so that the test is reachable in floating
-        # point on horizons whose cost is larger
-        res_d = float(np.abs(r_d).max()) / max(1.0, float(np.abs(grad).max()))
-        res_p = float(np.abs(r_p).max())
-        converged = (res_d <= opts.optimality_tol and res_p <= opts.feasibility_tol
-                     and abs(r_e) <= opts.feasibility_tol and mu <= opts.optimality_tol)
+        mu = float(s @ z) / k
+        converged = False
+        if mu <= opts.optimality_tol and abs(r_e) <= opts.feasibility_tol:
+            res_d, res_p = residual_norms()
+            converged = res_d <= opts.optimality_tol and res_p <= opts.feasibility_tol
         if converged or step >= opts.max_iterations:
             break
 
-        kkt[:n, :n] = Gf.T @ ((z / s)[:, None] * Gf)
-        kkt_diag += np.maximum(hess[free], HESSIAN_FLOOR)
+        kkt[:n, :n] = (GfT * (z / s)) @ Gf
+        kkt_diag += np.maximum(cost.hessian()[free], HESSIAN_FLOOR)
         rhs[n] = -r_e
+        z_neg_r_p, neg_s = z * neg_r_p, -s
         # predictor: the pure Newton step, which sets the centring weight
         r_c = s * z
         try:
-            dx, dy, ds, dz = direction(r_c)
+            direction(r_c)
         except np.linalg.LinAlgError:
             break   # W outgrew floating point before the tolerances were met
-        alpha = min(1.0, _max_step(s, ds, z, dz))
-        mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / s.size
+        alpha = min(1.0, _max_step(sz, dsz))
+        trial = sz + alpha * dsz
+        mu_aff = float(trial[:k] @ trial[k:]) / k
         sigma = min(1.0, (mu_aff / mu) ** 3)
         # corrector: centre towards sigma * mu and cancel the second-order term
-        dx, dy, ds, dz = direction(r_c + ds * dz - sigma * mu)
-        alpha = min(1.0, STEP_TO_BOUNDARY * _max_step(s, ds, z, dz))
-        x[free] += alpha * dx
-        s += alpha * ds
-        z += alpha * dz
-        y += alpha * dy
+        sol = direction(r_c + ds * dz - sigma * mu)
+        alpha = min(1.0, STEP_TO_BOUNDARY * _max_step(sz, dsz))
+        x[free] += alpha * sol[:n]
+        sz += alpha * dsz
+        y += alpha * sol[n]
         step += 1
 
+    res_d, res_p = residual_norms()
     message = (f"interior point, {step} steps: relative dual residual {res_d:.2e}, primal "
                f"{res_p:.2e}, terminal {abs(r_e):.2e}, complementarity {mu:.2e}")
     return x, step, converged, message
 
 
-def _max_step(s, ds, z, dz) -> float:
-    """Largest alpha in (0, inf] keeping s + alpha ds and z + alpha dz >= 0."""
-    neg_s, neg_z = ds < 0.0, dz < 0.0
-    return float(min((-s[neg_s] / ds[neg_s]).min(initial=np.inf),
-                     (-z[neg_z] / dz[neg_z]).min(initial=np.inf)))
+def _max_step(v, dv) -> float:
+    """Largest alpha in (0, inf] keeping v + alpha dv >= 0."""
+    neg = dv < 0.0
+    return -float((v[neg] / dv[neg]).max(initial=-np.inf))
 
 
 def operator_heuristic(problem: ScheduleProblem,
@@ -637,11 +705,10 @@ def dp_oracle(problem: ScheduleProblem,
         q[t] = actions[j]
         idx += shifts[j]
 
-    schedule = StorageSchedule.from_rates(q, tes)
-    p_ch = _power_arrays(q, problem)[3]
+    obj, p_ch = _score(q, problem)
     return OptimalSchedule(
-        schedule=schedule,
-        objective=objective(q, problem),
+        schedule=StorageSchedule.from_rates(q, tes),
+        objective=obj,
         p_ch=p_ch,
         generation=problem.p_base + p_ch,
         iterations=T,

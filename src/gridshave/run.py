@@ -20,8 +20,8 @@ from .optimizer import (
     OptimalSchedule,
     ScheduleProblem,
     SolverOptions,
+    flatness,
     generation_profile,
-    objective,
     operator_heuristic,
     solve,
 )
@@ -122,7 +122,7 @@ def evaluate_fixed_schedule(scenario: Scenario,
                 + "; ".join(str(v) for v in violations))
         generation = generation_profile(day_q, problem)
         fixed.append(OptimalSchedule(
-            schedule=schedule, objective=objective(day_q, problem),
+            schedule=schedule, objective=flatness(generation, problem.p_mean),
             p_ch=generation - problem.p_base, generation=generation,
             iterations=0, converged=True, message="fixed schedule",
             heuristic=operator_heuristic(problem),

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridshave.cooling import (
     CopModel,
     StorageSchedule,
     TesConfig,
+    Violation,
     check_schedule,
     chiller_power,
     cop,
@@ -180,6 +185,102 @@ def test_check_schedule_non_finite_stored_energy(tes):
     s = StorageSchedule(q_stor=np.zeros(3), e_stor=np.array([tes.e_initial, np.nan,
                                                              tes.e_initial, tes.e_initial]))
     assert [(v.kind, v.hour) for v in check_schedule(s, tes)] == [("trajectory", 1)]
+
+
+def _reference_check_schedule(schedule, tes, tol=1e-6):
+    """Per-kind scan of every limit, without `check_schedule`'s vectorized
+    all-clear test: the reference that test must agree with."""
+    q = schedule.q_stor
+    e = schedule.e_stor
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        return [Violation("non_finite", int(i), float(q[i]), tes.rate_max) for i in bad]
+    out = []
+    recomputed = np.empty_like(e)
+    recomputed[0] = e[0]
+    np.cumsum(q, out=recomputed[1:])
+    recomputed[1:] += e[0]
+    drift = np.abs(e - recomputed)
+    for i in np.nonzero(~(drift <= tol))[0]:
+        out.append(Violation("trajectory", int(i), float(e[i]), float(recomputed[i])))
+    for i in np.nonzero(np.abs(q) > tes.rate_max + tol)[0]:
+        out.append(Violation("rate", int(i), float(q[i]), tes.rate_max))
+    for i in np.nonzero(e < -tol)[0]:
+        out.append(Violation("soc_low", int(i), float(e[i]), 0.0))
+    for i in np.nonzero(e > tes.e_max + tol)[0]:
+        out.append(Violation("soc_high", int(i), float(e[i]), tes.e_max))
+    if abs(e[0] - tes.e_initial) > tol:
+        out.append(Violation("initial_soc", -1, float(e[0]), tes.e_initial))
+    if abs(e[-1] - tes.e_terminal) > tol:
+        out.append(Violation("terminal_soc", -1, float(e[-1]), tes.e_terminal))
+    return out
+
+
+#: A half-full tank, so that zero-sum rates of at most 2 MW stay inside it.
+HALF_TANK = TesConfig(e_max=100.0, rate_max=10.0, e_initial=50.0, e_terminal=50.0)
+
+#: Offsets at and around the 1e-6 tolerance, and well beyond it.
+FAULT_SIZES = st.sampled_from([0.0, 5e-7, 1e-6, 1.5e-6, 1e-3, 0.5, 7.0, 60.0])
+
+
+@st.composite
+def faulty_schedules(draw):
+    """A feasible zero-sum schedule on HALF_TANK, perturbed by at most one
+    rate, tank, initial, terminal, trajectory or non-finite fault."""
+    T = draw(st.integers(1, 24))
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=T, max_size=T)))
+    q -= q.mean()
+    fault = draw(st.sampled_from(["none", "rate", "tank", "initial", "terminal",
+                                  "trajectory", "nan_rate", "nan_energy"]))
+    t = draw(st.integers(0, T - 1))
+    size = draw(FAULT_SIZES)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    e0 = HALF_TANK.e_initial
+    if fault == "rate" and T >= 3:
+        # the other hours make up the change, so the terminal state holds
+        delta = sign * (HALF_TANK.rate_max + size) - q[t]
+        q -= delta / (T - 1)
+        q[t] = sign * (HALF_TANK.rate_max + size)
+    elif fault == "tank" and T >= 12:
+        # six hours to the top (or bottom) of the tank and `size` beyond, six back
+        level = HALF_TANK.e_max - e0 if sign > 0 else e0
+        q[:] = 0.0
+        q[:6] = sign * (level + size) / 6.0
+        q[6:12] = -q[:6]
+    elif fault == "initial":
+        # the tank starts `size` off e_initial, and the rates still end at e_terminal
+        e0 += sign * size
+        q[t] -= sign * size
+    elif fault == "terminal":
+        q[t] += sign * size
+    elif fault == "nan_rate":
+        q[t] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    e = np.concatenate(([e0], e0 + np.cumsum(q)))
+    if fault in ("trajectory", "nan_energy"):
+        i = draw(st.integers(0, T))
+        e[i] = math.nan if fault == "nan_energy" else e[i] + sign * size
+    return StorageSchedule(q_stor=q, e_stor=e)
+
+
+def _key(violations):
+    return [(v.kind, v.hour, repr(v.value), repr(v.limit)) for v in violations]
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_schedules())
+# each limit alone, 1.5e-6 beyond it: stored energy off its rates, terminal
+# state, initial state, rate, top and bottom of the tank
+@example(StorageSchedule(q_stor=np.zeros(2), e_stor=np.array([50.0, 50.0 + 1.5e-6, 50.0])))
+@example(StorageSchedule.from_rates(np.array([0.0, 1.5e-6]), HALF_TANK))
+@example(StorageSchedule(q_stor=np.array([-1.5e-6]), e_stor=np.array([50.0 + 1.5e-6, 50.0])))
+@example(StorageSchedule.from_rates(np.array([10.0 + 1.5e-6, -5.0, -5.0 - 1.5e-6]), HALF_TANK))
+@example(StorageSchedule.from_rates(np.repeat([1.0, -1.0], 6) * (50.0 + 1.5e-6) / 6.0,
+                                    HALF_TANK))
+@example(StorageSchedule.from_rates(np.repeat([-1.0, 1.0], 6) * (50.0 + 1.5e-6) / 6.0,
+                                    HALF_TANK))
+def test_check_schedule_matches_per_kind_scan(schedule):
+    assert _key(check_schedule(schedule, HALF_TANK)) == \
+        _key(_reference_check_schedule(schedule, HALF_TANK))
 
 
 def test_check_schedule_terminal_violation(tes):

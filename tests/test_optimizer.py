@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 import gridshave
 import gridshave.optimizer
 
-from gridshave.cooling import DEFAULT_COP_MODEL, CopModel, TesConfig, check_schedule, cop_values
+from gridshave.cooling import (
+    DEFAULT_COP_MODEL,
+    CopModel,
+    TesConfig,
+    Violation,
+    check_schedule,
+    cop_values,
+)
 from gridshave.errors import (
     GridResourceError,
     InfeasibleStartError,
@@ -403,6 +410,30 @@ def test_solve_calls_hour_bounds_once(first_day_problem, monkeypatch):
     assert counted.call_count == 1
 
 
+def test_solve_counts_its_work(first_day_problem, monkeypatch):
+    linear = mock.Mock(wraps=np.linalg.solve)
+    validating = mock.Mock(wraps=gridshave.optimizer._chiller_power)
+    scalar = mock.Mock(wraps=objective)
+    monkeypatch.setattr(np.linalg, "solve", linear)
+    monkeypatch.setattr(gridshave.optimizer, "_chiller_power", validating)
+    monkeypatch.setattr(gridshave.optimizer, "objective", scalar)
+    res = solve(first_day_problem)
+    # a predictor and a corrector per step; one validating pass per candidate
+    # (start, solver point, heuristic) and no separate objective pass
+    assert res.iterations == 10
+    assert linear.call_count == 2 * res.iterations
+    assert validating.call_count == 3
+    assert scalar.call_count == 0
+
+
+def test_solve_raises_when_no_candidate_passes_the_checks(first_day_problem, monkeypatch):
+    limit = Violation("terminal_soc", -1, 0.0, first_day_problem.tes.e_terminal)
+    monkeypatch.setattr(gridshave.optimizer, "check_schedule", lambda *args, **kw: [limit])
+    with pytest.raises(InfeasibleStartError, match="^every candidate schedule is infeasible; "
+                                                   "the start: terminal_soc at hour -1"):
+        solve(first_day_problem)
+
+
 @pytest.mark.parametrize("c3", [0.0, 1e-320, 1e-300, -1e-300, 1e-12, -1e-12])
 def test_hour_bounds_tiny_quadratic_cop_term(c3):
     # COP falls through the floor at plr = 0.74 on a near-linear surface; a
@@ -638,6 +669,21 @@ def test_schedule_problem_validation():
         ScheduleProblem(p_base=np.full(4, 30.0), q_cool=np.full(4, 50.0),
                         twb=np.full(4, 20.0),
                         p_mean=0.0, tes=TesConfig(), cop_model=DEFAULT_COP_MODEL)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["p_base", "q_cool", "twb"])
+def test_schedule_problem_rejects_non_finite_series(first_day_problem, name, value):
+    series = getattr(first_day_problem, name).copy()
+    series[5] = value
+    with pytest.raises(ValueError, match=f"^hour 5: {name} is "):
+        replace(first_day_problem, **{name: series})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_schedule_problem_rejects_non_finite_p_mean(first_day_problem, value):
+    with pytest.raises(ValueError, match="^p_mean must be positive and finite"):
+        replace(first_day_problem, p_mean=value)
 
 
 def test_solver_options_defaults():

@@ -123,6 +123,8 @@ def test_evaluate_fixed_schedule_matches_optimized(synth_scenario, run_results):
                                     DEFAULT_COP_MODEL, DEFAULT_TES)
     for a, b in zip(run_results, fixed):
         assert b.optimal.objective == pytest.approx(a.optimal.objective, rel=1e-12)
+        # taken from the generation already computed, with the same floats
+        assert b.optimal.objective == objective(b.optimal.schedule.q_stor, b.problem)
 
 
 def test_days_split_and_baselined_once(monkeypatch, synth_scenario, run_results):
@@ -214,6 +216,28 @@ def test_cli_simulate_and_report(tmp_path):
     assert os.path.exists(os.path.join(run_dir, "profile.svg"))
 
 
+#: summary.txt of `optimize` on the default 3-day scenario; the day lines pin
+#: each day's objective, step count and certificate.
+DEFAULT_SUMMARY = """\
+hours = 72
+peak_baseline_mw = 62.076
+peak_optimized_mw = 57.131
+peak_no_storage_mw = 64.572
+peak_shaved_mw = 4.944
+peak_shaved_pct = 7.96
+fuel_saved_mwh = 45.862
+fuel_saved_pct_above_threshold = 3.74
+fuel_saved_pct_total = 0.55
+peaking_hours_baseline = 8
+peaking_hours_optimized = 1
+peaking_hours_eliminated = 7
+near_threshold_hours = 0
+day 0: objective = 1291.6906 MW^2, iterations = 10, converged = True, p_mean = 46.375 (same-day)
+day 1: objective = 1117.3586 MW^2, iterations = 8, converged = True, p_mean = 46.375 (previous-day)
+day 2: objective = 949.9467 MW^2, iterations = 9, converged = True, p_mean = 45.745 (previous-day)
+"""
+
+
 def test_cli_report_keeps_summary_byte_identical(tmp_path):
     scenario_path = str(tmp_path / "scenario.csv")
     run_dir = str(tmp_path / "run")
@@ -222,6 +246,7 @@ def test_cli_report_keeps_summary_byte_identical(tmp_path):
     assert cli_main(["optimize", "--scenario", scenario_path, "--out", run_dir]) == 0
     with open(summary_path, "rb") as fh:
         written = fh.read()
+    assert written.decode() == DEFAULT_SUMMARY
     assert cli_main(["report", "--run", run_dir]) == 0
     with open(summary_path, "rb") as fh:
         assert fh.read() == written

@@ -14,7 +14,6 @@ from .cooling import (
     check_schedule,
     chiller_power,
     cop,
-    required_chiller_output,
     storage_trajectory,
 )
 from .errors import GridShaveError
@@ -95,7 +94,6 @@ __all__ = [
     "operator_heuristic",
     "p_mean",
     "peaking_power",
-    "required_chiller_output",
     "run_days",
     "solve",
     "split_days",

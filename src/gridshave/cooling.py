@@ -19,6 +19,7 @@ evaluation is guarded by a validity window on TWB and a COP floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,21 @@ class Violation:
         return f"{self.kind} at hour {self.hour}: value {self.value:.6f}, limit {self.limit:.6f}"
 
 
+def cop_coefficients(twb, model: CopModel):
+    """Per-hour coefficients (b, c) of the COP surface at wet-bulb twb, which
+    is cop = c + (b + c3 PLR) PLR with b = c1 + c4 TWB, c = c0 + c2 TWB + c5 TWB^2."""
+    return model.c1 + model.c4 * twb, model.c0 + model.c2 * twb + model.c5 * twb * twb
+
+
+def cop_values(plr, twb, model: CopModel, coefficients=None) -> np.ndarray:
+    """The package's one COP polynomial, vectorized and unguarded (callers check
+    the domain); `coefficients` is `cop_coefficients(twb, model)` if known."""
+    b, c = cop_coefficients(np.asarray(twb, dtype=float), model) \
+        if coefficients is None else coefficients
+    plr = np.asarray(plr, dtype=float)
+    return c + (b + model.c3 * plr) * plr
+
+
 def cop(plr: float, twb: float, model: CopModel = DEFAULT_COP_MODEL) -> float:
     """Evaluate the COP surface at one operating point.
 
@@ -177,51 +193,61 @@ def cop(plr: float, twb: float, model: CopModel = DEFAULT_COP_MODEL) -> float:
     if not model.twb_min <= twb <= model.twb_max:
         raise CopDomainError(
             f"twb={twb} outside validity range [{model.twb_min}, {model.twb_max}] C")
-    value = (model.c0 + model.c1 * plr + model.c2 * twb
-             + model.c3 * plr * plr + model.c4 * twb * plr + model.c5 * twb * twb)
+    value = float(cop_values(plr, twb, model))
     if value <= model.cop_floor:
         raise DegenerateCopError(
             f"COP {value:.4f} at plr={plr}, twb={twb} is at or below floor {model.cop_floor}")
     return value
 
 
-def cop_values(plr: np.ndarray, twb: np.ndarray, model: CopModel) -> np.ndarray:
-    """Vectorized COP evaluation without guards (callers check the domain)."""
-    plr = np.asarray(plr, dtype=float)
-    twb = np.asarray(twb, dtype=float)
-    return (model.c0 + model.c1 * plr + model.c2 * twb
-            + model.c3 * plr * plr + model.c4 * twb * plr + model.c5 * twb * twb)
+#: Slack, MW, on the chiller-output range [0, q_ch_max] of `chiller_power`.
+CHILLER_OUTPUT_TOL = 1e-9
 
 
-def cop_plr_slope(plr: np.ndarray, twb: np.ndarray, model: CopModel) -> np.ndarray:
-    """dCOP/dPLR at fixed TWB."""
-    plr = np.asarray(plr, dtype=float)
-    twb = np.asarray(twb, dtype=float)
-    return model.c1 + 2.0 * model.c3 * plr + model.c4 * twb
+def chiller_power(q_ch, twb, model: CopModel = DEFAULT_COP_MODEL,
+                  tes: TesConfig = DEFAULT_TES):
+    """Electric draw q_ch / COP of the chiller plant delivering q_ch MW of
+    cooling at wet-bulb twb; hourly arrays give the draw per hour.
 
-
-def chiller_power(q_ch: float, twb: float,
-                  model: CopModel = DEFAULT_COP_MODEL,
-                  tes: TesConfig = DEFAULT_TES) -> float:
-    """Electric draw of the chiller plant delivering q_ch MW of cooling."""
-    if q_ch < 0.0:
-        raise InfeasibleDischargeError(f"chiller output {q_ch} MW is negative")
-    if q_ch > tes.q_ch_max:
-        raise ChillerCapacityError(
-            f"chiller output {q_ch} MW exceeds nominal capacity {tes.q_ch_max} MW")
-    return q_ch / cop(q_ch / tes.q_ch_max, twb, model)
-
-
-def required_chiller_output(q_cool: float, q_stor: float) -> float:
-    """Chiller output needed to serve q_cool while moving q_stor into the tank.
-
-    Positive q_stor charges (chillers make extra), negative discharges.
+    The package's one validated chiller-power pass. PLR is clipped to [0, 1],
+    and an output within CHILLER_OUTPUT_TOL below zero draws nothing. The
+    first faulty hour raises, its message prefixed `hour t:` for arrays and
+    its `hour` set to t:
+    - CopDomainError for a non-finite output;
+    - InfeasibleDischargeError for an output below -CHILLER_OUTPUT_TOL;
+    - ChillerCapacityError for an output above q_ch_max + CHILLER_OUTPUT_TOL;
+    - CopDomainError for a wet-bulb outside [twb_min, twb_max];
+    - DegenerateCopError for a COP at or below the floor.
     """
-    q_ch = q_cool + q_stor
-    if q_ch < 0.0:
-        raise InfeasibleDischargeError(
-            f"discharge {-q_stor} MW exceeds cooling demand {q_cool} MW")
-    return q_ch
+    m = model
+    q = np.asarray(q_ch, dtype=float)
+    w = np.asarray(twb, dtype=float)
+    plr = np.clip(q / tes.q_ch_max, 0.0, 1.0)
+    with np.errstate(all="ignore"):   # a faulty hour may overflow; it raises below
+        value = cop_values(plr, w, m)
+        ok = ((q >= -CHILLER_OUTPUT_TOL) & (q <= tes.q_ch_max + CHILLER_OUTPUT_TOL)
+              & (w >= m.twb_min) & (w <= m.twb_max) & (value > m.cop_floor))
+        p_ch = np.where(q > 0.0, q / value, 0.0)
+    if not ok.all():
+        t = int(np.flatnonzero(~ok)[0])
+        q_t, w_t, cop_t, plr_t = (float(np.ravel(v)[t])
+                                  for v in np.broadcast_arrays(q, w, value, plr))
+        if not math.isfinite(q_t):
+            error, message = CopDomainError, f"chiller output {q_t} MW is not a finite number"
+        elif q_t < -CHILLER_OUTPUT_TOL:
+            error, message = InfeasibleDischargeError, f"chiller output {q_t} MW is negative"
+        elif q_t > tes.q_ch_max + CHILLER_OUTPUT_TOL:
+            error, message = ChillerCapacityError, (
+                f"chiller output {q_t} MW exceeds nominal capacity {tes.q_ch_max} MW")
+        elif not m.twb_min <= w_t <= m.twb_max:
+            error, message = CopDomainError, (
+                f"twb={w_t} outside validity range [{m.twb_min}, {m.twb_max}] C")
+        else:
+            error, message = DegenerateCopError, (
+                f"COP {cop_t:.4f} at plr={plr_t:.4f}, twb={w_t} is at or below floor "
+                f"{m.cop_floor}")
+        raise error(f"hour {t}: {message}", hour=t) if p_ch.ndim else error(message)
+    return p_ch if p_ch.ndim else float(p_ch)
 
 
 def storage_trajectory(q_stor, tes: TesConfig) -> np.ndarray:

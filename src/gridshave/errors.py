@@ -2,7 +2,11 @@
 
 
 class GridShaveError(Exception):
-    """Base class for all gridshave errors."""
+    """Base class for all gridshave errors; `hour` is the hour at fault, if known."""
+
+    def __init__(self, message="", hour=None):
+        super().__init__(message)
+        self.hour = hour
 
 
 class ShapeError(GridShaveError):

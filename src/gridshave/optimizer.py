@@ -21,11 +21,13 @@ Mehrotra's predictor-corrector (Boyd & Vandenberghe, Convex Optimization,
 ch. 11; Mehrotra 1992). The box and stored-energy rows form one dense
 constraint matrix, built once per solve, so every product with it is one
 matrix product; each step solves two (T+1) x (T+1) linear systems with numpy
-(predictor and corrector), and nothing beyond numpy is needed. The per-hour
-COP coefficients are computed once per solve (`_HourlyCost`), and the slacks
-and duals are the two halves of one buffer. The start, the solver point and
-the operator heuristic are each checked once (`check_schedule`) and scored
-by one validated pass; the best feasible one is returned.
+(predictor and corrector), and nothing beyond numpy is needed. The chiller
+model is `cooling`'s: `_HourlyCost` takes the per-hour COP coefficients once
+per solve (`cop_coefficients`) and the COP from `cop_values`, and p_ch is
+validated only by `chiller_power`. The slacks and duals are the two halves
+of one buffer. The start, the solver point and the operator heuristic are
+each checked once (`check_schedule`) and scored by one validated
+`chiller_power` pass; the best feasible one is returned.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -46,14 +48,13 @@ from .cooling import (
     StorageSchedule,
     TesConfig,
     check_schedule,
-    cop_plr_slope,
+    chiller_power,
+    cop_coefficients,
     cop_values,
 )
 from .errors import (
-    ChillerCapacityError,
-    DegenerateCopError,
+    CopDomainError,
     GridResourceError,
-    InfeasibleDischargeError,
     InfeasibleStartError,
     ShapeError,
 )
@@ -99,6 +100,13 @@ class ScheduleProblem:
             if bad.size:
                 t = int(bad[0])
                 raise ValueError(f"hour {t}: {name} is {arr[t]}, not a finite number")
+        m = self.cop_model
+        bad = np.flatnonzero((self.twb < m.twb_min) | (self.twb > m.twb_max))
+        if bad.size:
+            t = int(bad[0])
+            raise CopDomainError(
+                f"hour {t}: twb={self.twb[t]} outside validity range "
+                f"[{m.twb_min}, {m.twb_max}] C", hour=t)
         if not 0.0 < self.p_mean < math.inf:
             raise ValueError(f"p_mean must be positive and finite, got {self.p_mean}")
 
@@ -178,8 +186,9 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
     q_cool, twb = problem.q_cool, problem.twb
     plr_ref = q_cool / tes.q_ch_max
     a = m.c3
-    b = m.c1 + m.c4 * twb
-    c = m.c0 + m.c2 * twb + m.c5 * twb * twb - m.cop_floor
+    b, c = cop_coefficients(twb, m)
+    bad_cop = cop_values(plr_ref, twb, m, (b, c)) <= m.cop_floor
+    c = c - m.cop_floor   # the roots of cop = cop_floor
     # on hours whose branch np.where discards, the root formulas may divide by
     # zero or take the root of a negative number; a tiny c3 overflows to inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -206,7 +215,6 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
         lo = np.maximum(-tes.rate_max, plr_lo * tes.q_ch_max - q_cool)
         hi = np.minimum(tes.rate_max, plr_hi * tes.q_ch_max - q_cool)
         bad_demand = ~((q_cool >= 0.0) & (q_cool <= tes.q_ch_max))
-        bad_cop = a * plr_ref * plr_ref + b * plr_ref + c <= 0.0
     bad = np.flatnonzero(bad_demand | bad_cop | (lo > hi))
     if bad.size:
         t = int(bad[0])
@@ -221,37 +229,6 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _chiller_power(q_stor: np.ndarray, problem: ScheduleProblem) -> np.ndarray:
-    """p_ch per hour, validated: raises on a discharge above the cooling
-    demand, a chiller output above capacity or a COP at or below its floor,
-    and clamps plr to [0, 1]."""
-    tes = problem.tes
-    m = problem.cop_model
-    twb = problem.twb
-    q_ch = problem.q_cool + q_stor
-    bad = np.nonzero(q_ch < -1e-9)[0]
-    if bad.size:
-        t = int(bad[0])
-        raise InfeasibleDischargeError(
-            f"hour {t}: discharge {-q_stor[t]:.3f} MW exceeds cooling demand "
-            f"{problem.q_cool[t]:.3f} MW")
-    bad = np.nonzero(q_ch > tes.q_ch_max + 1e-9)[0]
-    if bad.size:
-        t = int(bad[0])
-        raise ChillerCapacityError(
-            f"hour {t}: chiller output {q_ch[t]:.3f} MW exceeds capacity "
-            f"{tes.q_ch_max} MW")
-    plr = np.clip(q_ch / tes.q_ch_max, 0.0, 1.0)
-    cop = m.c0 + (m.c2 + m.c5 * twb) * twb + (m.c1 + m.c4 * twb + m.c3 * plr) * plr
-    bad = np.nonzero(cop <= m.cop_floor)[0]
-    if bad.size:
-        t = int(bad[0])
-        raise DegenerateCopError(
-            f"hour {t}: COP {cop[t]:.4f} at plr={plr[t]:.4f}, twb={twb[t]:.2f} "
-            f"is at or below floor {m.cop_floor}")
-    return np.where(q_ch > 0.0, q_ch / cop, 0.0)
-
-
 def _checked_rates(q_stor, problem: ScheduleProblem) -> np.ndarray:
     q = np.asarray(q_stor, dtype=float)
     if q.shape != (problem.horizon,):
@@ -260,8 +237,11 @@ def _checked_rates(q_stor, problem: ScheduleProblem) -> np.ndarray:
 
 
 def generation_profile(q_stor, problem: ScheduleProblem) -> np.ndarray:
-    """Total generation G(t) for a storage schedule."""
-    return problem.p_base + _chiller_power(_checked_rates(q_stor, problem), problem)
+    """Total generation G(t) for a storage schedule, validated hour by hour
+    by `chiller_power`."""
+    q = _checked_rates(q_stor, problem)
+    return problem.p_base + chiller_power(problem.q_cool + q, problem.twb,
+                                          problem.cop_model, problem.tes)
 
 
 def flatness(generation: np.ndarray, p_mean: float) -> float:
@@ -271,16 +251,15 @@ def flatness(generation: np.ndarray, p_mean: float) -> float:
 
 
 def _score(q_stor: np.ndarray, problem: ScheduleProblem) -> tuple[float, np.ndarray]:
-    """(objective, p_ch) of a schedule from one validated `_chiller_power` pass."""
-    p_ch = _chiller_power(q_stor, problem)
+    """(objective, p_ch) of a schedule from one validated `chiller_power` pass."""
+    p_ch = chiller_power(problem.q_cool + q_stor, problem.twb, problem.cop_model, problem.tes)
     return flatness(problem.p_base + p_ch, problem.p_mean), p_ch
 
 
 class _HourlyCost:
     """Each hour's cost (G(t) - p_mean)^2 and its derivatives in q_stor(t),
-    from the per-hour COP coefficients b(t) = c1 + c4 twb and
-    c(t) = c0 + c2 twb + c5 twb^2 of cop = c(t) + (b(t) + c3 plr) plr,
-    computed once per problem.
+    from the per-hour COP coefficients b(t), c(t) of `cop_coefficients`,
+    computed once per problem; the COP itself comes from `cop_values`.
 
     Chain rule through p_ch = q_ch / cop(plr), plr = q_ch / q_ch_max, with
     cop' = dcop/dplr = b(t) + 2 c3 plr and cop'' = 2 c3:
@@ -292,21 +271,18 @@ class _HourlyCost:
     """
 
     def __init__(self, problem: ScheduleProblem):
-        m = problem.cop_model
-        twb = problem.twb
         self.problem = problem
-        self.b = m.c1 + m.c4 * twb
-        self.c = m.c0 + (m.c2 + m.c5 * twb) * twb
-        self.c3_2 = 2.0 * m.c3
+        self.coefficients = cop_coefficients(problem.twb, problem.cop_model)
+        self.c3_2 = 2.0 * problem.cop_model.c3
         self.point = None
 
     def gradient(self, q_stor: np.ndarray) -> np.ndarray:
         problem = self.problem
         q_ch = problem.q_cool + q_stor
         plr = q_ch / problem.tes.q_ch_max
-        cop = self.c + (self.b + problem.cop_model.c3 * plr) * plr
+        cop = cop_values(plr, problem.twb, problem.cop_model, self.coefficients)
         curvature = self.c3_2 * plr          # plr cop''
-        slope = self.b + curvature           # cop'
+        slope = self.coefficients[0] + curvature   # cop'
         dp = (cop - plr * slope) / (cop * cop)
         r = problem.p_base + q_ch / cop - problem.p_mean
         self.point = plr, cop, curvature, slope, dp, r
@@ -326,9 +302,9 @@ def objective(q_stor, problem: ScheduleProblem) -> float:
 
 
 def _validated_cost(q_stor, problem: ScheduleProblem) -> tuple[_HourlyCost, np.ndarray]:
-    """(cost terms, gradient) at q_stor after the checks of `_chiller_power`."""
+    """(cost terms, gradient) at q_stor after the checks of `chiller_power`."""
     q = _checked_rates(q_stor, problem)
-    _chiller_power(q, problem)
+    _score(q, problem)
     cost = _HourlyCost(problem)
     return cost, cost.gradient(q)
 
@@ -379,7 +355,7 @@ def solve(problem: ScheduleProblem,
     start, capped at `max_iterations` steps. The candidates are the start,
     the solver point and (for 24-hour problems) the operator heuristic; each
     is checked once with `check_schedule` and scored by one validated
-    `_chiller_power` pass, and the best one that passes is returned, so the
+    `chiller_power` pass, and the best one that passes is returned, so the
     result never loses to either reference schedule. `converged` is True
     when the dual, primal and terminal residuals and the mean
     complementarity all fell below tolerance; `message` records them.
@@ -654,23 +630,17 @@ def dp_oracle(problem: ScheduleProblem,
     if not 0 <= idx_term < n_states:
         raise InfeasibleStartError("terminal stored energy outside the grid range")
 
-    stage_cost = np.full((T, n_actions), np.inf)
-    grid_bound = 0.0
-    for t in range(T):
-        ok = (actions >= lo[t] - 1e-12) & (actions <= hi[t] + 1e-12)
-        if not np.any(ok):
-            raise InfeasibleStartError(f"hour {t}: no admissible action on the grid")
-        q_sel = actions[ok]
-        q_ch = problem.q_cool[t] + q_sel
-        plr = q_ch / tes.q_ch_max
-        cop = cop_values(plr, np.full_like(plr, problem.twb[t]), problem.cop_model)
-        p_ch = np.where(q_ch > 0.0, q_ch / cop, 0.0)
-        g = problem.p_base[t] + p_ch
-        stage_cost[t, ok] = (g - problem.p_mean) ** 2
-        slope = cop_plr_slope(plr, np.full_like(plr, problem.twb[t]), problem.cop_model)
-        dpch = (cop - plr * slope) / (cop * cop)
-        grid_bound += float(np.max(np.abs(2.0 * (g - problem.p_mean) * dpch))) \
-            * action_step / 2.0
+    admissible = (actions[:, None] >= lo - 1e-12) & (actions[:, None] <= hi + 1e-12)
+    empty = np.flatnonzero(~admissible.any(axis=0))
+    if empty.size:
+        raise InfeasibleStartError(f"hour {int(empty[0])}: no admissible action on the grid")
+    # every hour's cost at every action on the grid; an inadmissible action is
+    # evaluated at the admissible zero rate instead and priced at inf
+    cost = _HourlyCost(problem)
+    slope = np.abs(cost.gradient(np.where(admissible, actions[:, None], 0.0)))
+    r = cost.point[-1]
+    stage_cost = np.where(admissible, r * r, np.inf).T
+    grid_bound = float(np.where(admissible, slope, 0.0).max(axis=0).sum()) * action_step / 2.0
 
     shifts = np.arange(-m, m + 1) * ratio
     value = np.full(n_states, np.inf)

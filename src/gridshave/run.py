@@ -30,6 +30,14 @@ from .scenario import HOURS_PER_DAY, Scenario, no_storage_baseline, split_days
 
 
 @dataclass(frozen=True)
+class DayTarget:
+    """Where a day's flat target came from: the day's no-storage generation
+    and whether the target is the mean of this day's or the previous day's."""
+    no_storage: np.ndarray
+    mode: str               # "previous-day" or "same-day"
+
+
+@dataclass(frozen=True)
 class DayResult:
     day: int
     problem: ScheduleProblem
@@ -44,15 +52,13 @@ def build_problems(scenario: Scenario,
                    plant: PlantConfig,
                    cop_model: CopModel,
                    tes: TesConfig,
-                   p_mean_mode: str = "previous-day") -> list[tuple[ScheduleProblem, str]]:
-    """One ScheduleProblem per day with its flat-target provenance flag."""
+                   p_mean_mode: str = "previous-day") -> list[tuple[ScheduleProblem, DayTarget]]:
+    """One ScheduleProblem per day with the provenance of its flat target."""
     if p_mean_mode not in ("previous-day", "same-day"):
         raise ValueError(f"unknown p_mean mode {p_mean_mode!r}")
     days = split_days(scenario)
-    day_means = []
-    for day in days:
-        g = no_storage_baseline(day, cop_model, plant, tes)
-        day_means.append(float(np.mean(g)))
+    no_storage = [no_storage_baseline(day, cop_model, plant, tes) for day in days]
+    day_means = [float(np.mean(g)) for g in no_storage]
 
     problems = []
     for k, day in enumerate(days):
@@ -64,22 +70,22 @@ def build_problems(scenario: Scenario,
             ScheduleProblem(
                 p_base=day.p_base, q_cool=day.q_cool, twb=day.twb,
                 p_mean=target, tes=tes, cop_model=cop_model),
-            mode,
+            DayTarget(no_storage=no_storage[k], mode=mode),
         ))
     return problems
 
 
-def _day_results(problems: list[tuple[ScheduleProblem, str]],
+def _day_results(problems: list[tuple[ScheduleProblem, DayTarget]],
                  schedules: list[OptimalSchedule]) -> list[DayResult]:
     """Pair each day's schedule with the generation of the operator heuristic
-    it carries and of the idle tank."""
+    it carries and with the day's no-storage generation."""
     out = []
-    for k, ((problem, mode), optimal) in enumerate(zip(problems, schedules)):
+    for k, ((problem, target), optimal) in enumerate(zip(problems, schedules)):
         out.append(DayResult(
             day=k, problem=problem, optimal=optimal,
             heuristic_generation=generation_profile(optimal.heuristic.q_stor, problem),
-            no_storage_generation=generation_profile(np.zeros(problem.horizon), problem),
-            p_mean=problem.p_mean, p_mean_mode=mode,
+            no_storage_generation=target.no_storage,
+            p_mean=problem.p_mean, p_mean_mode=target.mode,
         ))
     return out
 

@@ -21,13 +21,12 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power, cop_values
+from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power
 from .errors import (
     ChillerCapacityError,
-    CopDomainError,
     DegenerateCopError,
+    GridShaveError,
     InfeasibleDemandError,
-    InfeasibleDischargeError,
     ScenarioParseError,
     ShapeError,
     SynthesisError,
@@ -244,28 +243,25 @@ def no_storage_baseline(scenario: Scenario,
                         cop_model: CopModel = DEFAULT_COP_MODEL,
                         plant: PlantConfig = DEFAULT_PLANT,
                         tes: TesConfig = DEFAULT_TES) -> np.ndarray:
-    """Generation profile with the tank idle: G(t) = p_base + chiller power.
+    """Generation profile with the tank idle: G(t) = p_base + chiller_power(q_cool, twb).
 
-    One numpy pass with the arithmetic of `chiller_power`. The first hour at
-    fault raises the error `chiller_power` gives for it, prefixed `hour t:`,
+    The first hour at fault raises: the error `chiller_power` gives for it,
     or InfeasibleDemandError when generation exceeds the total capacity.
     """
-    q, twb, m = scenario.q_cool, scenario.twb, cop_model
-    cop = cop_values(q / tes.q_ch_max, twb, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = scenario.p_base + q / cop
-    # the conditions under which chiller_power raises
-    chiller_fault = ~((q >= 0.0) & (q <= tes.q_ch_max) & (twb >= m.twb_min)
-                      & (twb <= m.twb_max) & (cop > m.cop_floor))
-    bad = np.flatnonzero(chiller_fault | (g > plant.cap_total + 1e-9))
+    q, twb = scenario.q_cool, scenario.twb
+    chiller_fault = None
+    try:
+        g = scenario.p_base + chiller_power(q, twb, cop_model, tes)
+    except GridShaveError as exc:
+        # the hours before the chiller fault may exceed the capacity first
+        chiller_fault, t = exc, exc.hour
+        g = scenario.p_base[:t] + chiller_power(q[:t], twb[:t], cop_model, tes)
+    bad = np.flatnonzero(g > plant.cap_total + 1e-9)
     if bad.size:
         t = int(bad[0])
-        try:
-            chiller_power(q[t], twb[t], m, tes)
-        except (InfeasibleDischargeError, ChillerCapacityError, CopDomainError,
-                DegenerateCopError) as exc:
-            raise type(exc)(f"hour {t}: {exc}") from exc
         raise InfeasibleDemandError(
             f"hour {t}: no-storage generation {g[t]:.2f} MW exceeds total "
             f"capacity {plant.cap_total} MW")
+    if chiller_fault is not None:
+        raise chiller_fault
     return g

@@ -14,7 +14,6 @@ from gridshave.cooling import (
     chiller_power,
     cop,
     cop_values,
-    required_chiller_output,
     storage_trajectory,
 )
 from gridshave.errors import (
@@ -120,25 +119,67 @@ def test_chiller_power_strictly_increasing_on_summer_domain():
         assert np.all(np.diff(p) > 0.0), f"not increasing at twb={twb}"
 
 
+def _reference_chiller_fault(q_ch, twb, model: CopModel, tes: TesConfig):
+    """Per-hour scan: (first faulty hour, error type), or None when every hour
+    is admissible."""
+    for t, (q, w) in enumerate(zip(q_ch, twb)):
+        if not math.isfinite(q):
+            return t, CopDomainError
+        if q < -1e-9:
+            return t, InfeasibleDischargeError
+        if q > tes.q_ch_max + 1e-9:
+            return t, ChillerCapacityError
+        if not model.twb_min <= w <= model.twb_max:
+            return t, CopDomainError
+        if float(cop_values(min(max(q / tes.q_ch_max, 0.0), 1.0), w, model)) <= model.cop_floor:
+            return t, DegenerateCopError
+    return None
+
+
+#: One injected hour each: (q_ch, twb) strategies. The last two are within
+#: the output slack and are no fault.
+CHILLER_FAULTS = [
+    st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(10.0, 25.0)),
+    st.tuples(st.floats(-200.0, -1e-9, exclude_max=True), st.floats(10.0, 25.0)),
+    st.tuples(st.floats(156.5 + 1e-9, 1e6, exclude_min=True), st.floats(10.0, 25.0)),
+    st.tuples(st.floats(0.0, 156.5),
+              st.one_of(st.floats(0.0, 9.999), st.floats(30.001, 40.0), st.just(math.nan))),
+    st.tuples(st.floats(0.0, 10.0), st.floats(28.0, 30.0)),     # COP under the floor
+    st.tuples(st.floats(-1e-9, 0.0), st.floats(10.0, 25.0)),
+    st.tuples(st.floats(156.5, 156.5 + 1e-9), st.floats(10.0, 25.0)),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(hours=st.lists(st.tuples(st.floats(0.0, 156.5), st.floats(10.0, 25.0)),
+                      min_size=1, max_size=30),
+       injected=st.lists(st.tuples(st.integers(0, 29), st.one_of(*CHILLER_FAULTS)),
+                         max_size=2))
+@example(hours=[(80.0, 20.0)] * 3, injected=[(1, (80.0, 31.0))])
+@example(hours=[(80.0, 20.0)] * 3, injected=[(1, (80.0, 9.5))])
+@example(hours=[(80.0, 20.0)] * 3, injected=[(2, (-1.0, 20.0)), (1, (200.0, 35.0))])
+def test_chiller_power_array_matches_per_hour_scan(hours, injected):
+    # a clean hour has twb <= 25 C, where the default COP stays above its floor
+    for t, point in injected:
+        hours[t % len(hours)] = point
+    q, twb = (np.array(v) for v in zip(*hours))
+    model, tes = CopModel(), TesConfig()
+    fault = _reference_chiller_fault(q, twb, model, tes)
+    if fault is None:
+        expected = [chiller_power(qt, wt) for qt, wt in zip(q, twb)]
+        assert np.array_equal(chiller_power(q, twb), expected)
+        return
+    t, error = fault
+    with pytest.raises(error) as got:
+        chiller_power(q, twb)
+    with pytest.raises(error) as scalar:
+        chiller_power(q[t], twb[t])
+    assert got.value.hour == t
+    assert str(got.value) == f"hour {t}: {scalar.value}"
+
+
 # ---------------------------------------------------------------------------
 # storage arithmetic
-
-def test_required_chiller_output_discharge():
-    assert required_chiller_output(100.0, -31.7) == pytest.approx(68.3)
-
-
-def test_required_chiller_output_identity():
-    assert required_chiller_output(100.0, 0.0) == 100.0
-
-
-def test_required_chiller_output_charge():
-    assert required_chiller_output(50.0, 31.7) == pytest.approx(81.7)
-
-
-def test_required_chiller_output_infeasible():
-    with pytest.raises(InfeasibleDischargeError):
-        required_chiller_output(10.0, -20.0)
-
 
 def test_storage_trajectory_single_discharge(tes):
     e = storage_trajectory(np.array([-31.7]), tes)

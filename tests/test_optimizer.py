@@ -23,6 +23,7 @@ from gridshave.cooling import (
     cop_values,
 )
 from gridshave.errors import (
+    CopDomainError,
     GridResourceError,
     InfeasibleStartError,
     ShapeError,
@@ -412,10 +413,10 @@ def test_solve_calls_hour_bounds_once(first_day_problem, monkeypatch):
 
 def test_solve_counts_its_work(first_day_problem, monkeypatch):
     linear = mock.Mock(wraps=np.linalg.solve)
-    validating = mock.Mock(wraps=gridshave.optimizer._chiller_power)
+    validating = mock.Mock(wraps=gridshave.optimizer.chiller_power)
     scalar = mock.Mock(wraps=objective)
     monkeypatch.setattr(np.linalg, "solve", linear)
-    monkeypatch.setattr(gridshave.optimizer, "_chiller_power", validating)
+    monkeypatch.setattr(gridshave.optimizer, "chiller_power", validating)
     monkeypatch.setattr(gridshave.optimizer, "objective", scalar)
     res = solve(first_day_problem)
     # a predictor and a corrector per step; one validating pass per candidate
@@ -678,6 +679,24 @@ def test_schedule_problem_rejects_non_finite_series(first_day_problem, name, val
     series[5] = value
     with pytest.raises(ValueError, match=f"^hour 5: {name} is "):
         replace(first_day_problem, **{name: series})
+
+
+@pytest.mark.parametrize("value", [31.0, 9.5])
+def test_schedule_problem_rejects_wet_bulb_outside_cop_window(first_day_problem, value):
+    twb = first_day_problem.twb.copy()
+    twb[5] = value
+    with pytest.raises(CopDomainError, match="^hour 5: twb=") as got:
+        replace(first_day_problem, twb=twb)
+    assert got.value.hour == 5
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("evaluate", [generation_profile, objective, gradient])
+def test_non_finite_rate_names_its_hour(first_day_problem, evaluate, value):
+    q = np.zeros(24)
+    q[3] = value
+    with pytest.raises(CopDomainError, match="^hour 3: chiller output .* not a finite number"):
+        evaluate(q, first_day_problem)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from unittest import mock
 
@@ -19,6 +20,7 @@ from gridshave.report import (
     write_run_outputs,
 )
 from gridshave.run import build_problems, evaluate_fixed_schedule, run_days
+from gridshave.scenario import no_storage_baseline, split_days
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,17 @@ def test_days_split_and_baselined_once(monkeypatch, synth_scenario, run_results)
     assert (split.call_count, baseline.call_count) == (2, 6)
 
 
+def test_day_results_carry_each_days_baseline(synth_scenario, run_results):
+    # the no-storage profile reported is the one the day targets came from
+    q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
+    fixed = evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT,
+                                    DEFAULT_COP_MODEL, DEFAULT_TES)
+    for results in (run_results, fixed):
+        assert len(results) == 3
+        for day, result in zip(split_days(synth_scenario), results):
+            assert result.no_storage_generation.tobytes() == no_storage_baseline(day).tobytes()
+
+
 def test_operator_heuristic_runs_once_per_day(monkeypatch, synth_scenario, run_results):
     heuristic = mock.Mock(wraps=gridshave.optimizer.operator_heuristic)
     monkeypatch.setattr(gridshave.optimizer, "operator_heuristic", heuristic)
@@ -251,6 +264,27 @@ def test_cli_report_keeps_summary_byte_identical(tmp_path):
     with open(summary_path, "rb") as fh:
         assert fh.read() == written
     assert written.count(b"\nday ") == 3
+
+
+#: sha256 of report.csv and profile.svg written by `optimize` on the default
+#: 3-day scenario, and by `simulate` of the schedule it writes.
+DEFAULT_OUTPUT_SHA256 = {
+    "report.csv": "6cb44df49ab671c75ed69e5f1f41b54c683b910e0c8cfdfa3e3dea8e285f2440",
+    "profile.svg": "621200860517cccc9d88ce448958c0a4ee9a95e8ddf8721450e31c460c1b901f",
+}
+
+
+def test_cli_default_outputs_keep_their_hashes(tmp_path):
+    scenario_path = str(tmp_path / "scenario.csv")
+    assert cli_main(["synth", "--out", scenario_path]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", str(tmp_path / "run")]) == 0
+    assert cli_main(["simulate", "--scenario", scenario_path,
+                     "--schedule", str(tmp_path / "run" / "schedule.csv"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    for run in ("run", "sim"):
+        for name, digest in DEFAULT_OUTPUT_SHA256.items():
+            assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, \
+                f"{run}/{name}"
 
 
 def test_cli_workers_flag_is_ignored(tmp_path):

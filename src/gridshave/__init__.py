@@ -1,8 +1,9 @@
 """gridshave: peak shaving for an islanded CHP campus microgrid.
 
-Models a combined-cycle plant (gas turbine + steam turbine + peaking steam
-turbine) coupled to a district cooling plant with chilled-water storage, and
-optimizes hourly storage schedules to flatten the generation profile.
+Models a district cooling plant with chilled-water storage that draws on a
+combined-cycle CHP plant, and optimizes hourly storage schedules to flatten
+the generation profile and keep it under the combined-cycle threshold, above
+which the less efficient peaking unit must run.
 """
 
 from .cooling import (
@@ -31,14 +32,9 @@ from .optimizer import (
 )
 from .plant import (
     DEFAULT_PLANT,
-    ChpDispatch,
-    EfficiencyCurve,
     FuelSavings,
     PlantConfig,
-    dispatch_hour,
     fuel_savings,
-    peaking_power,
-    verify_balance,
 )
 from .regression import FitReport, SampleSet, cvrmse, fit_cop_model, mbe
 from .report import RunReport, build_report, write_run_outputs
@@ -56,12 +52,10 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChpDispatch",
     "CopModel",
     "DEFAULT_COP_MODEL",
     "DEFAULT_PLANT",
     "DEFAULT_TES",
-    "EfficiencyCurve",
     "FitReport",
     "FuelSavings",
     "GridShaveError",
@@ -80,7 +74,6 @@ __all__ = [
     "chiller_power",
     "cop",
     "cvrmse",
-    "dispatch_hour",
     "dp_oracle",
     "fit_cop_model",
     "fuel_savings",
@@ -93,12 +86,10 @@ __all__ = [
     "objective",
     "operator_heuristic",
     "p_mean",
-    "peaking_power",
     "run_days",
     "solve",
     "split_days",
     "storage_trajectory",
-    "verify_balance",
     "write_run_outputs",
     "write_scenario",
 ]

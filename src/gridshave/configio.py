@@ -1,12 +1,12 @@
 """Flat key/value config files.
 
 One `key = value` pair per line, `#` starts a comment, blank lines ignored.
-Values are floats except where a module documents otherwise (efficiency
-curves serialize as one or two comma-separated numbers).
+Every value is a finite float, read with `get_float`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ConfigError
@@ -45,9 +45,14 @@ def write_config(path: str, entries: dict[str, str], header: str | None = None) 
 
 
 def get_float(cfg: dict[str, str], key: str, path: str = "<config>") -> float:
+    """The value of `key` as a finite float; a missing, non-numeric, nan or
+    infinite value raises ConfigError naming the file and the key."""
     if key not in cfg:
         raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{path}: key {key!r} is not numeric: {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: key {key!r} is not finite: {cfg[key]!r}")
+    return value

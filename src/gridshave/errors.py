@@ -17,10 +17,6 @@ class InfeasibleDemandError(GridShaveError):
     """Electrical demand exceeds total generating capacity."""
 
 
-class InfeasibleSteamError(GridShaveError):
-    """Campus steam demand cannot be served by extraction plus the boiler."""
-
-
 class CopDomainError(GridShaveError):
     """PLR or wet-bulb temperature outside the COP model's validity domain."""
 

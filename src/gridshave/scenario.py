@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -152,8 +152,9 @@ class SynthParams:
 
     The defaults are tuned so that with the default plant, COP model and
     storage configs the no-storage generation peaks in the mid-60s MW on the
-    hottest day, with a mild overnight valley. `days` below 1 raises
-    SynthesisError.
+    hottest day, with a mild overnight valley. `days` below 1, a nan or
+    infinite float field and an empty or non-finite `day_scale` raise
+    SynthesisError naming the field.
     """
 
     days: int = 3
@@ -175,6 +176,12 @@ class SynthParams:
     def __post_init__(self):
         if self.days < 1:
             raise SynthesisError(f"days must be at least 1, got {self.days}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise SynthesisError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not self.day_scale or not all(map(math.isfinite, self.day_scale)):
+            raise SynthesisError(
+                f"day_scale must be a non-empty tuple of finite factors, got {self.day_scale!r}")
 
 
 def _daily_bell(hours: np.ndarray, center: float, width: float) -> np.ndarray:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES
@@ -37,9 +36,3 @@ def day_problems(synth_scenario):
 def first_day_problem(day_problems):
     return day_problems[0][0]
 
-
-def random_feasible_loads(rng: np.random.Generator, n: int):
-    """(p_e_c, q_s_c) pairs inside the default plant's feasible envelope."""
-    p = rng.uniform(0.5, 64.9, n)
-    q = rng.uniform(0.0, 40.0, n)
-    return p, q

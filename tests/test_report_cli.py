@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -363,6 +364,16 @@ def test_cli_synth_rejects_non_positive_days(tmp_path, capsys, days):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, field", [("--base-mw", "base_level_mw"),
+                                         ("--cool-peak-mw", "cool_peak_amp_mw"),
+                                         ("--noise-mw", "noise_mw")])
+def test_cli_synth_rejects_non_finite_parameter(tmp_path, capsys, flag, field):
+    out = tmp_path / "day.csv"
+    assert cli_main(["synth", "--out", str(out), "--days", "1", flag, "nan"]) == 1
+    assert f"error: {field} must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_non_convergence_exit_code(tmp_path):
     scenario_path = str(tmp_path / "day.csv")
     solver_path = str(tmp_path / "solver.cfg")
@@ -385,3 +396,27 @@ def test_cli_config_round_trip_through_optimize(tmp_path):
     assert cli_main(["optimize", "--scenario", scenario_path,
                      "--plant", plant_path, "--cop", cop_path, "--tes", tes_path,
                      "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("flag, config, key, value", [
+    ("--plant", DEFAULT_PLANT, "threshold", "nan"),
+    ("--cop", DEFAULT_COP_MODEL, "cop_floor", "nan"),
+    ("--tes", DEFAULT_TES, "rate_max", "nan"),
+    ("--solver", SolverOptions(), "feasibility_tol", "nan"),
+    ("--solver", SolverOptions(), "max_iterations", "inf"),
+    ("--plant", DEFAULT_PLANT, "cap_gt", "-inf"),
+])
+def test_cli_non_finite_config_value_exits_1(tmp_path, capsys, flag, config, key, value):
+    scenario_path = str(tmp_path / "day.csv")
+    config_path = tmp_path / "config.cfg"
+    config.save(str(config_path))
+    text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", config_path.read_text())
+    assert count == 1
+    config_path.write_text(text)
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
+    capsys.readouterr()
+    assert cli_main(["optimize", "--scenario", scenario_path, flag, str(config_path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert f"error: {config_path}: key {key!r} is not finite: {value!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

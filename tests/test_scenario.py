@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -183,6 +185,22 @@ def test_synthetic_capacity_overrun_is_synthesis_error():
 def test_synthetic_rejects_non_positive_days(days):
     with pytest.raises(SynthesisError, match=f"days must be at least 1, got {days}"):
         generate_synthetic(SynthParams(days=days), seed=1)
+
+
+_SYNTH_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SynthParams) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _SYNTH_FLOAT_FIELDS)
+def test_synth_params_reject_non_finite_field(name, value):
+    with pytest.raises(SynthesisError, match=f"^{name} must be finite, got {value}$"):
+        SynthParams(days=1, **{name: value})
+
+
+@pytest.mark.parametrize("day_scale", [(), (1.0, math.nan), (math.inf,)])
+def test_synth_params_reject_bad_day_scale(day_scale):
+    with pytest.raises(SynthesisError, match="^day_scale must be a non-empty tuple"):
+        SynthParams(days=1, day_scale=day_scale)
 
 
 def test_synthetic_embeds_seed(synth_scenario):

@@ -1,4 +1,5 @@
-"""Bit-exact round trips of the scenario, samples and schedule tables."""
+"""Bit-exact round trips of the scenario, samples and schedule tables, and
+the rejection of a non-finite cell in any table."""
 
 import os
 import tempfile
@@ -6,12 +7,16 @@ from datetime import datetime, timedelta
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshave.regression import MIN_SAMPLES, SampleSet, load_samples, save_samples
-from gridshave.report import load_schedule_csv, write_schedule_csv
-from gridshave.scenario import Scenario, load_scenario, write_scenario
+from gridshave.errors import ScenarioParseError
+from gridshave.regression import MIN_SAMPLES, SAMPLES_HEADER, SampleSet, load_samples, \
+    save_samples
+from gridshave.report import REPORT_HEADER, SCHEDULE_HEADER, load_report_table, \
+    load_schedule_csv, write_schedule_csv
+from gridshave.scenario import SCENARIO_HEADER, Scenario, load_scenario, write_scenario
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
@@ -69,3 +74,48 @@ def test_schedule_round_trip_bit_exact(cols):
                              e_stor_end=e_stor_end)
     loaded = _round_trip(lambda p: write_schedule_csv(report, p), load_schedule_csv)
     assert _bits_equal(loaded, q_stor)
+
+
+#: header -> loader of every table the package reads
+_TABLES = {
+    SCENARIO_HEADER: load_scenario,
+    SCHEDULE_HEADER: load_schedule_csv,
+    REPORT_HEADER: load_report_table,
+    SAMPLES_HEADER: load_samples,
+}
+
+
+@st.composite
+def _table_with_non_finite_cell(draw):
+    """(header, file text, data row, column) with one nan or infinite cell
+    among finite ones; blank and comment lines do not count as rows."""
+    header = draw(st.sampled_from(list(_TABLES)))
+    names = header.split(",")
+    n_rows = draw(st.integers(1, 30))
+    bad_row = draw(st.integers(1, n_rows))
+    column = draw(st.sampled_from([n for n in names if n != "timestamp"]))
+    bad = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity"]))
+    fill = repr(draw(st.floats(0.0, 1.0)))
+    lines = [header]
+    for row, stamp in enumerate(_hours(n_rows), start=1):
+        lines += draw(st.lists(st.sampled_from(["", "# comment"]), max_size=2))
+        lines.append(",".join(
+            stamp.isoformat() if name == "timestamp"
+            else bad if (row, name) == (bad_row, column)
+            else fill
+            for name in names))
+    return header, "\n".join(lines) + "\n", bad_row, column
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_with_non_finite_cell())
+def test_non_finite_cell_names_its_row(case):
+    header, text, row, column = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(ScenarioParseError, match=f"row {row}: {column} = .* is not finite") \
+                as exc_info:
+            _TABLES[header](path)
+    assert exc_info.value.row == row

@@ -27,7 +27,6 @@ from .optimizer import (
     hessian_diagonal,
     objective,
     operator_heuristic,
-    p_mean,
     solve,
 )
 from .plant import (
@@ -85,7 +84,6 @@ __all__ = [
     "no_storage_baseline",
     "objective",
     "operator_heuristic",
-    "p_mean",
     "run_days",
     "solve",
     "split_days",

@@ -1,13 +1,17 @@
 """Flat key/value config files.
 
 One `key = value` pair per line, `#` starts a comment, blank lines ignored.
-Every value is a finite float, read with `get_float`.
+`ConfigFile` gives each config dataclass its `save` and `load`: one line per
+field, in field order, each value written with `repr`. Every value is read
+as a finite float with `get_float`; an `int` field must hold a whole number.
+Keys that match no field, such as those of older formats, are ignored.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -34,16 +38,6 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def write_config(path: str, entries: dict[str, str], header: str | None = None) -> None:
-    """Write entries as `key = value` lines, optionally preceded by a comment."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for key, value in entries.items():
-            fh.write(f"{key} = {value}\n")
-
-
 def get_float(cfg: dict[str, str], key: str, path: str = "<config>") -> float:
     """The value of `key` as a finite float; a missing, non-numeric, nan or
     infinite value raises ConfigError naming the file and the key."""
@@ -56,3 +50,30 @@ def get_float(cfg: dict[str, str], key: str, path: str = "<config>") -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{path}: key {key!r} is not finite: {cfg[key]!r}")
     return value
+
+
+class ConfigFile:
+    """Base of the config dataclasses: saved and loaded field by field."""
+
+    def save(self, path: str, header: str | None = None) -> None:
+        """Write `key = repr(value)` per field, optionally after a comment."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in (header or "").splitlines():
+                fh.write(f"# {line}\n")
+            for f in fields(self):
+                fh.write(f"{f.name} = {getattr(self, f.name)!r}\n")
+
+    @classmethod
+    def load(cls, path: str):
+        """Read every field from `path`; keys that match no field are ignored."""
+        cfg = read_config(path)
+        kwargs = {}
+        for f in fields(cls):
+            value = get_float(cfg, f.name, path)
+            if f.type == "int":
+                if not value.is_integer():
+                    raise ConfigError(
+                        f"{path}: key {f.name!r} is not an integer: {cfg[f.name]!r}")
+                value = int(value)
+            kwargs[f.name] = value
+        return cls(**kwargs)

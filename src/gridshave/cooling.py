@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configio import get_float, read_config, write_config
+from .configio import ConfigFile
 from .errors import (
     ChillerCapacityError,
     CopDomainError,
@@ -45,7 +45,7 @@ STORAGE_RATE_MW = 31.7
 
 
 @dataclass(frozen=True)
-class CopModel:
+class CopModel(ConfigFile):
     """Quadratic COP surface in (PLR, TWB) with a validity guard."""
 
     c0: float = 11.87
@@ -61,31 +61,12 @@ class CopModel:
     def coefficients(self) -> tuple[float, ...]:
         return (self.c0, self.c1, self.c2, self.c3, self.c4, self.c5)
 
-    def to_entries(self) -> dict[str, str]:
-        out = {f"c{i}": repr(c) for i, c in enumerate(self.coefficients())}
-        out["twb_min"] = repr(self.twb_min)
-        out["twb_max"] = repr(self.twb_max)
-        out["cop_floor"] = repr(self.cop_floor)
-        return out
-
-    def save(self, path: str, header: str | None = None) -> None:
-        write_config(path, self.to_entries(), header=header)
-
-    @classmethod
-    def load(cls, path: str) -> "CopModel":
-        cfg = read_config(path)
-        kwargs = {f"c{i}": get_float(cfg, f"c{i}", path) for i in range(6)}
-        kwargs["twb_min"] = get_float(cfg, "twb_min", path)
-        kwargs["twb_max"] = get_float(cfg, "twb_max", path)
-        kwargs["cop_floor"] = get_float(cfg, "cop_floor", path)
-        return cls(**kwargs)
-
 
 DEFAULT_COP_MODEL = CopModel()
 
 
 @dataclass(frozen=True)
-class TesConfig:
+class TesConfig(ConfigFile):
     """Thermal storage tank limits and boundary conditions."""
 
     e_max: float = STORAGE_CAPACITY_MWH
@@ -101,24 +82,6 @@ class TesConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= self.e_max:
                 raise ValueError(f"{name}={v} outside [0, e_max={self.e_max}]")
-
-    def to_entries(self) -> dict[str, str]:
-        return {
-            "e_max": repr(self.e_max),
-            "rate_max": repr(self.rate_max),
-            "e_initial": repr(self.e_initial),
-            "e_terminal": repr(self.e_terminal),
-            "q_ch_max": repr(self.q_ch_max),
-        }
-
-    def save(self, path: str, header: str | None = None) -> None:
-        write_config(path, self.to_entries(), header=header)
-
-    @classmethod
-    def load(cls, path: str) -> "TesConfig":
-        cfg = read_config(path)
-        return cls(**{k: get_float(cfg, k, path) for k in
-                      ("e_max", "rate_max", "e_initial", "e_terminal", "q_ch_max")})
 
 
 DEFAULT_TES = TesConfig()

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configio import get_float, read_config, write_config
+from .configio import ConfigFile
 from .cooling import (
     CopModel,
     StorageSchedule,
@@ -116,34 +116,18 @@ class ScheduleProblem:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(ConfigFile):
     max_iterations: int = 200           # Newton-step cap of the interior-point solve
     feasibility_tol: float = 1e-6       # MWh, primal residuals and schedule checks
     optimality_tol: float = 1e-8        # mean complementarity (MW^2), relative dual residual
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def to_entries(self) -> dict[str, str]:
-        return {
-            "max_iterations": str(self.max_iterations),
-            "feasibility_tol": repr(self.feasibility_tol),
-            "optimality_tol": repr(self.optimality_tol),
-        }
-
-    @classmethod
-    def load(cls, path: str) -> "SolverOptions":
-        """Read the known keys; keys of older formats are ignored."""
-        cfg = read_config(path)
-        return cls(
-            max_iterations=int(get_float(cfg, "max_iterations", path)),
-            feasibility_tol=get_float(cfg, "feasibility_tol", path),
-            optimality_tol=get_float(cfg, "optimality_tol", path),
-        )
-
-    def save(self, path: str, header: str | None = None) -> None:
-        write_config(path, self.to_entries(), header=header)
+        if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
+            raise ValueError(
+                f"max_iterations must be a whole number >= 1, got {self.max_iterations!r}")
+        for name in ("feasibility_tol", "optimality_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -159,16 +143,6 @@ class OptimalSchedule:
     grid_error_bound: float | None = None
     message: str = ""
     heuristic: StorageSchedule | None = None   # operator heuristic (24-hour days)
-
-
-def p_mean(prev_day_generation) -> float:
-    """Flat target: arithmetic mean of the previous day's 24 hourly values."""
-    g = np.asarray(prev_day_generation, dtype=float)
-    if g.shape != (HOURS_PER_DAY,):
-        raise ShapeError(f"expected 24 hourly values, got shape {g.shape}")
-    if np.any(g <= 0.0):
-        raise ValueError("generation values must be positive")
-    return float(np.mean(g))
 
 
 def hour_bounds(problem: ScheduleProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -11,20 +11,21 @@ figures come from this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .configio import get_float, read_config, write_config
+from .configio import ConfigFile
 from .errors import ShapeError
 
 
 @dataclass(frozen=True)
-class PlantConfig:
+class PlantConfig(ConfigFile):
     """Capacities, threshold and lumped electric efficiencies of the CHP plant.
 
     peaking_margin_mw sets the band below the threshold that the report
-    counts as near-threshold hours.
+    counts as near-threshold hours. `load` ignores the keys of older plant
+    files, such as the component efficiencies of a retired heat balance.
     """
 
     cap_gt: float = 32.0
@@ -52,24 +53,6 @@ class PlantConfig:
     @property
     def cap_total(self) -> float:
         return self.threshold + self.cap_peak
-
-    def to_entries(self) -> dict[str, str]:
-        return {f.name: repr(getattr(self, f.name)) for f in fields(self)}
-
-    def save(self, path: str, header: str | None = None) -> None:
-        write_config(path, self.to_entries(), header=header)
-
-    @classmethod
-    def load(cls, path: str) -> "PlantConfig":
-        """Read the known keys; keys of older formats are ignored.
-
-        Files in the older format also carry the component efficiencies, the
-        steam extraction limit and the boiler capacity of a heat and mass
-        balance that no run used; they load to the same config as without
-        those keys, whatever their values.
-        """
-        cfg = read_config(path)
-        return cls(**{f.name: get_float(cfg, f.name, path) for f in fields(cls)})
 
 
 DEFAULT_PLANT = PlantConfig()

@@ -40,7 +40,6 @@ from gridshave.optimizer import (
     hour_bounds,
     objective,
     operator_heuristic,
-    p_mean,
     solve,
 )
 from gridshave.scenario import SynthParams, generate_synthetic, write_scenario
@@ -75,30 +74,6 @@ def _constant_problem(T=24, p_base=30.0, q_cool=80.0, twb=22.0, p_mean_offset=0.
         p_base=np.full(T, p_base), q_cool=np.full(T, q_cool),
         twb=np.full(T, twb),
         p_mean=g0 + p_mean_offset, tes=tes, cop_model=DEFAULT_COP_MODEL)
-
-
-# ---------------------------------------------------------------------------
-# p_mean
-
-def test_p_mean_constant():
-    assert p_mean(np.full(24, 50.0)) == 50.0
-
-
-def test_p_mean_two_level_day():
-    assert p_mean(np.array([40.0] * 12 + [60.0] * 12)) == pytest.approx(50.0)
-
-
-def test_p_mean_permutation_invariant():
-    rng = np.random.default_rng(2)
-    g = rng.uniform(30.0, 60.0, 24)
-    assert p_mean(g) == pytest.approx(p_mean(g[rng.permutation(24)]), rel=1e-14)
-
-
-def test_p_mean_shape_error():
-    with pytest.raises(ShapeError):
-        p_mean(np.full(23, 50.0))
-    with pytest.raises(ValueError):
-        p_mean(np.full(24, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +685,23 @@ def test_solver_options_defaults():
     assert opts.max_iterations == 200
     assert opts.feasibility_tol == 1e-6
     assert opts.optimality_tol == 1e-8
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 0),
+    ("max_iterations", -5),
+    ("max_iterations", 1.5),
+    ("max_iterations", math.inf),
+    ("max_iterations", math.nan),
+    ("feasibility_tol", 0.0),
+    ("feasibility_tol", -1e-6),
+    ("feasibility_tol", math.inf),
+    ("optimality_tol", math.nan),
+    ("optimality_tol", -math.inf),
+])
+def test_solver_options_reject_invalid_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        SolverOptions(**{field: value})
 
 
 def test_solver_options_round_trip(tmp_path):

@@ -1,5 +1,9 @@
 """The package's public surface: every exported name resolves."""
 
+import os
+import subprocess
+import sys
+
 import gridshave
 
 
@@ -13,3 +17,15 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from gridshave import *", namespace)
     assert set(gridshave.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_every_traced_layer():
+    # a tracer that imports only gridshave.cli wraps these modules through
+    # sys.modules, so importing the CLI must load each of them
+    src = os.path.dirname(os.path.dirname(gridshave.__file__))
+    code = ("import sys, gridshave.cli; print([m for m in ('gridshave.scenario', "
+            "'gridshave.optimizer', 'gridshave.run', 'gridshave.report') "
+            "if m not in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

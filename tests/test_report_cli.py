@@ -384,6 +384,23 @@ def test_cli_non_convergence_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1.5", "key 'max_iterations' is not an integer: '1.5'"),
+    ("0", "max_iterations must be a whole number >= 1, got 0"),
+])
+def test_cli_invalid_max_iterations_exits_1(tmp_path, capsys, value, message):
+    scenario_path = str(tmp_path / "day.csv")
+    solver_path = tmp_path / "solver.cfg"
+    solver_path.write_text(f"max_iterations = {value}\n"
+                           "feasibility_tol = 1e-06\noptimality_tol = 1e-08\n")
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
+    capsys.readouterr()
+    assert cli_main(["optimize", "--scenario", scenario_path, "--solver", str(solver_path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_round_trip_through_optimize(tmp_path):
     scenario_path = str(tmp_path / "day.csv")
     plant_path = str(tmp_path / "plant.cfg")

@@ -142,7 +142,7 @@ def _cmd_optimize(args) -> int:
     for line in report.summary_lines():
         print(line)
     print("wrote " + ", ".join(sorted(paths.values())))
-    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if all(d.optimal.converged for d in results) else EXIT_NOT_CONVERGED
 
 
 def _cmd_simulate(args) -> int:

@@ -20,7 +20,7 @@ evaluation is guarded by a validity window on TWB and a COP floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,12 @@ class CopModel(ConfigFile):
     twb_min: float = 10.0
     twb_max: float = 30.0
     cop_floor: float = 0.5
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     def coefficients(self) -> tuple[float, ...]:
         return (self.c0, self.c1, self.c2, self.c3, self.c4, self.c5)

@@ -7,9 +7,9 @@ float formatting) so that two identical runs produce byte-identical files.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 
 import numpy as np
 
@@ -19,152 +19,99 @@ from .run import DayResult
 from .scenario import Scenario
 from .tableio import read_table, write_table
 
-REPORT_HEADER = ("timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c,"
-                 "no_storage_mw,baseline_mw,optimized_mw,"
-                 "q_stor_mw,e_stor_end_mwh,p_ch_mw")
+#: The hourly columns of report.csv after its timestamp, in file order: the
+#: scenario's inputs; generation (MW) with the tank idle, under the operator
+#: heuristic and under the solver's schedule; that schedule's rates (MW), the
+#: stored energy after each hour (MWh) and its chiller draw (MW).
+REPORT_COLUMNS = ("p_base_mw", "q_cool_mw", "q_steam_mw", "twb_c",
+                  "no_storage_mw", "baseline_mw", "optimized_mw",
+                  "q_stor_mw", "e_stor_end_mwh", "p_ch_mw")
+REPORT_HEADER = ",".join(("timestamp",) + REPORT_COLUMNS)
 
 SCHEDULE_HEADER = "timestamp,q_stor_mw,e_stor_end_mwh"
 
-#: A `day k:` summary line; older summaries carry extra fields before p_mean.
-_DAY_LINE = re.compile(
-    r"^day (\d+): objective = (\S+) MW\^2, iterations = (\d+), "
-    r"converged = (True|False), (?:.*, )?p_mean = (\S+) \((\S+)\)$", re.MULTILINE)
-
-
-@dataclass(frozen=True)
-class SolverStats:
-    day: int
-    objective: float
-    iterations: int
-    converged: bool
-    p_mean: float
-    p_mean_mode: str
+#: (name, format) of each metric line of the summary, in summary order.
+_METRIC_FORMATS = (
+    ("hours", "d"),
+    ("peak_baseline_mw", ".3f"),
+    ("peak_optimized_mw", ".3f"),
+    ("peak_no_storage_mw", ".3f"),
+    ("peak_shaved_mw", ".3f"),
+    ("peak_shaved_pct", ".2f"),
+    ("fuel_saved_mwh", ".3f"),
+    ("fuel_saved_pct_above_threshold", ".2f"),   # vs baseline fuel in above-threshold hours
+    ("fuel_saved_pct_total", ".2f"),             # vs all baseline fuel
+    ("peaking_hours_baseline", "d"),
+    ("peaking_hours_optimized", "d"),
+    ("peaking_hours_eliminated", "d"),
+    ("near_threshold_hours", "d"),
+)
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything the CLI prints and writes for one run."""
+    """A run's hourly table, the plant it is judged under, and the solver's
+    `day k:` summary lines; everything the CLI prints and writes."""
 
     timestamps: list[datetime]
-    p_base: np.ndarray
-    q_cool: np.ndarray
-    q_s_c: np.ndarray
-    twb: np.ndarray
-    no_storage: np.ndarray          # MW, tank idle
-    baseline: np.ndarray            # MW, operator-heuristic schedule
-    optimized: np.ndarray           # MW, solver schedule
-    q_stor: np.ndarray              # MW, solver schedule rates
-    e_stor_end: np.ndarray          # MWh, stored energy after each hour
-    p_ch: np.ndarray                # MW, chiller electric draw (optimized)
-    threshold: float
-    peak_baseline_mw: float
-    peak_optimized_mw: float
-    peak_no_storage_mw: float
-    peak_shaved_mw: float
-    peak_shaved_pct: float
-    fuel_saved_mwh: float
-    fuel_saved_pct: float           # vs baseline fuel in above-threshold hours
-    fuel_saved_pct_total: float     # vs all baseline fuel
-    peaking_hours_baseline: int
-    peaking_hours_optimized: int
-    peaking_hours_eliminated: int
-    near_threshold_hours: int
-    solver_stats: list[SolverStats]
+    table: dict[str, np.ndarray]    # keyed by REPORT_COLUMNS
+    plant: PlantConfig
+    day_lines: list[str]
 
-    @property
-    def converged(self) -> bool:
-        return all(s.converged for s in self.solver_stats)
+    def __post_init__(self):
+        self.metrics    # computed here, so a table they reject fails before any write
+
+    @cached_property
+    def metrics(self) -> dict[str, float | int]:
+        """The summary figures, keyed by their names in summary.txt."""
+        base, opt = self.table["baseline_mw"], self.table["optimized_mw"]
+        savings = fuel_savings(base, opt, self.plant)
+        thr, margin = self.plant.threshold, self.plant.peaking_margin_mw
+        peak_base, peak_opt = float(np.max(base)), float(np.max(opt))
+        shaved = peak_base - peak_opt
+        above_base, above_opt = base > thr, opt > thr
+        return {
+            "hours": len(self.timestamps),
+            "peak_baseline_mw": peak_base,
+            "peak_optimized_mw": peak_opt,
+            "peak_no_storage_mw": float(np.max(self.table["no_storage_mw"])),
+            "peak_shaved_mw": shaved,
+            "peak_shaved_pct": 100.0 * shaved / peak_base if peak_base > 0.0 else 0.0,
+            "fuel_saved_mwh": savings.saved_mwh,
+            "fuel_saved_pct_above_threshold": savings.percent,
+            "fuel_saved_pct_total": savings.percent_of_total,
+            "peaking_hours_baseline": int(np.sum(above_base)),
+            "peaking_hours_optimized": int(np.sum(above_opt)),
+            "peaking_hours_eliminated": int(np.sum(above_base & ~above_opt)),
+            "near_threshold_hours": int(np.sum((opt >= thr - margin) & (opt <= thr))),
+        }
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            f"hours = {len(self.timestamps)}",
-            f"peak_baseline_mw = {self.peak_baseline_mw:.3f}",
-            f"peak_optimized_mw = {self.peak_optimized_mw:.3f}",
-            f"peak_no_storage_mw = {self.peak_no_storage_mw:.3f}",
-            f"peak_shaved_mw = {self.peak_shaved_mw:.3f}",
-            f"peak_shaved_pct = {self.peak_shaved_pct:.2f}",
-            f"fuel_saved_mwh = {self.fuel_saved_mwh:.3f}",
-            f"fuel_saved_pct_above_threshold = {self.fuel_saved_pct:.2f}",
-            f"fuel_saved_pct_total = {self.fuel_saved_pct_total:.2f}",
-            f"peaking_hours_baseline = {self.peaking_hours_baseline}",
-            f"peaking_hours_optimized = {self.peaking_hours_optimized}",
-            f"peaking_hours_eliminated = {self.peaking_hours_eliminated}",
-            f"near_threshold_hours = {self.near_threshold_hours}",
-        ]
-        for s in self.solver_stats:
-            lines.append(
-                f"day {s.day}: objective = {s.objective:.4f} MW^2, "
-                f"iterations = {s.iterations}, converged = {s.converged}, "
-                f"p_mean = {s.p_mean:.3f} ({s.p_mean_mode})")
-        return lines
-
-
-def report_from_arrays(timestamps: list[datetime],
-                       p_base, q_cool, q_s_c, twb,
-                       no_storage, baseline, optimized,
-                       q_stor, e_stor_end, p_ch,
-                       plant: PlantConfig,
-                       solver_stats: list[SolverStats]) -> RunReport:
-    """Assemble a RunReport, deriving every metric from the hourly table."""
-    baseline = np.asarray(baseline, dtype=float)
-    optimized = np.asarray(optimized, dtype=float)
-    savings = fuel_savings(baseline, optimized, plant)
-    thr = plant.threshold
-    peak_base = float(np.max(baseline))
-    peak_opt = float(np.max(optimized))
-    above_base = baseline > thr
-    above_opt = optimized > thr
-    margin = plant.peaking_margin_mw
-    near = np.sum((optimized >= thr - margin) & (optimized <= thr))
-
-    return RunReport(
-        timestamps=timestamps,
-        p_base=np.asarray(p_base, dtype=float),
-        q_cool=np.asarray(q_cool, dtype=float),
-        q_s_c=np.asarray(q_s_c, dtype=float),
-        twb=np.asarray(twb, dtype=float),
-        no_storage=np.asarray(no_storage, dtype=float),
-        baseline=baseline, optimized=optimized,
-        q_stor=np.asarray(q_stor, dtype=float),
-        e_stor_end=np.asarray(e_stor_end, dtype=float),
-        p_ch=np.asarray(p_ch, dtype=float),
-        threshold=thr,
-        peak_baseline_mw=peak_base,
-        peak_optimized_mw=peak_opt,
-        peak_no_storage_mw=float(np.max(np.asarray(no_storage, dtype=float))),
-        peak_shaved_mw=peak_base - peak_opt,
-        peak_shaved_pct=100.0 * (peak_base - peak_opt) / peak_base,
-        fuel_saved_mwh=savings.saved_mwh,
-        fuel_saved_pct=savings.percent,
-        fuel_saved_pct_total=savings.percent_of_total,
-        peaking_hours_baseline=int(np.sum(above_base)),
-        peaking_hours_optimized=int(np.sum(above_opt)),
-        peaking_hours_eliminated=int(np.sum(above_base & ~above_opt)),
-        near_threshold_hours=int(near),
-        solver_stats=solver_stats,
-    )
+        return [f"{name} = {self.metrics[name]:{fmt}}"
+                for name, fmt in _METRIC_FORMATS] + self.day_lines
 
 
 def build_report(scenario: Scenario, day_results: list[DayResult],
                  plant: PlantConfig) -> RunReport:
-    baseline = np.concatenate([d.heuristic_generation for d in day_results])
-    optimized = np.concatenate([d.optimal.generation for d in day_results])
-    no_storage = np.concatenate([d.no_storage_generation for d in day_results])
-    q_stor = np.concatenate([d.optimal.schedule.q_stor for d in day_results])
-    e_end = np.concatenate([d.optimal.schedule.e_stor[1:] for d in day_results])
-    p_ch = np.concatenate([d.optimal.p_ch for d in day_results])
-    if baseline.shape[0] != len(scenario):
+    table = {
+        "p_base_mw": scenario.p_base,
+        "q_cool_mw": scenario.q_cool,
+        "q_steam_mw": scenario.q_s_c,
+        "twb_c": scenario.twb,
+        "no_storage_mw": np.concatenate([d.no_storage_generation for d in day_results]),
+        "baseline_mw": np.concatenate([d.heuristic_generation for d in day_results]),
+        "optimized_mw": np.concatenate([d.optimal.generation for d in day_results]),
+        "q_stor_mw": np.concatenate([d.optimal.schedule.q_stor for d in day_results]),
+        "e_stor_end_mwh": np.concatenate([d.optimal.schedule.e_stor[1:] for d in day_results]),
+        "p_ch_mw": np.concatenate([d.optimal.p_ch for d in day_results]),
+    }
+    if table["baseline_mw"].shape[0] != len(scenario):
         raise ShapeError("day results do not cover the scenario")
-
-    stats = [SolverStats(
-        day=d.day, objective=d.optimal.objective,
-        iterations=d.optimal.iterations, converged=d.optimal.converged,
-        p_mean=d.p_mean, p_mean_mode=d.p_mean_mode) for d in day_results]
-
-    return report_from_arrays(
-        list(scenario.timestamps), scenario.p_base, scenario.q_cool,
-        scenario.q_s_c, scenario.twb, no_storage, baseline, optimized,
-        q_stor, e_end, p_ch, plant, stats)
+    day_lines = [
+        f"day {d.day}: objective = {d.optimal.objective:.4f} MW^2, "
+        f"iterations = {d.optimal.iterations}, converged = {d.optimal.converged}, "
+        f"p_mean = {d.p_mean:.3f} ({d.p_mean_mode})" for d in day_results]
+    return RunReport(list(scenario.timestamps), table, plant, day_lines)
 
 
 def load_report_table(path: str) -> dict:
@@ -172,38 +119,26 @@ def load_report_table(path: str) -> dict:
     return read_table(path, REPORT_HEADER, "report")[0]
 
 
-def _read_solver_stats(path: str) -> list[SolverStats]:
-    """The `day k:` lines of a summary file, or none if it does not exist."""
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        return [SolverStats(int(m[1]), float(m[2]), int(m[3]), m[4] == "True",
-                            float(m[5]), m[6]) for m in _DAY_LINE.finditer(fh.read())]
-
-
 def rebuild_report(run_dir: str, plant: PlantConfig) -> RunReport:
-    """Reconstruct a report from an emitted report.csv, with the solver stats
-    of the run's summary.txt."""
+    """Recompute a run's report from its report.csv under `plant`; the
+    `day k:` lines of its summary.txt, if any, are carried over as written."""
     table = load_report_table(os.path.join(run_dir, "report.csv"))
-    return report_from_arrays(
-        table["timestamp"], table["p_base_mw"], table["q_cool_mw"],
-        table["q_steam_mw"], table["twb_c"], table["no_storage_mw"],
-        table["baseline_mw"], table["optimized_mw"], table["q_stor_mw"],
-        table["e_stor_end_mwh"], table["p_ch_mw"], plant,
-        _read_solver_stats(os.path.join(run_dir, "summary.txt")))
+    summary = os.path.join(run_dir, "summary.txt")
+    day_lines = []
+    if os.path.exists(summary):
+        with open(summary, "r", encoding="utf-8") as fh:
+            day_lines = [line for line in fh.read().splitlines() if line.startswith("day ")]
+    return RunReport(table.pop("timestamp"), table, plant, day_lines)
 
 
 def write_report_csv(report: RunReport, path: str) -> None:
-    write_table(path, REPORT_HEADER,
-                [report.p_base, report.q_cool, report.q_s_c, report.twb,
-                 report.no_storage, report.baseline, report.optimized,
-                 report.q_stor, report.e_stor_end, report.p_ch],
+    write_table(path, REPORT_HEADER, [report.table[name] for name in REPORT_COLUMNS],
                 report.timestamps, fmt="{:.6f}".format)
 
 
 def write_schedule_csv(report: RunReport, path: str) -> None:
-    write_table(path, SCHEDULE_HEADER, [report.q_stor, report.e_stor_end],
-                report.timestamps)
+    write_table(path, SCHEDULE_HEADER,
+                [report.table["q_stor_mw"], report.table["e_stor_end_mwh"]], report.timestamps)
 
 
 def load_schedule_csv(path: str) -> np.ndarray:
@@ -237,15 +172,10 @@ def _scale(v, lo, hi, out_lo, out_hi):
 def write_profile_svg(report: RunReport, path: str) -> None:
     """Hour-vs-generation line chart with the peaking threshold marked."""
     n = len(report.timestamps)
-    series = {
-        "no_storage": report.no_storage,
-        "baseline": report.baseline,
-        "optimized": report.optimized,
-    }
-    y_min = min(float(np.min(s)) for s in series.values())
-    y_max = max(float(np.max(s)) for s in series.values())
-    y_min = min(y_min, report.threshold) - 2.0
-    y_max = max(y_max, report.threshold) + 2.0
+    threshold = report.plant.threshold
+    series = {name: report.table[f"{name}_mw"] for name, _, _ in _SERIES_STYLE}
+    y_min = min(threshold, *(float(np.min(s)) for s in series.values())) - 2.0
+    y_max = max(threshold, *(float(np.max(s)) for s in series.values())) + 2.0
 
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
@@ -284,13 +214,13 @@ def write_profile_svg(report: RunReport, path: str) -> None:
             f'<text x="{x + 3:.2f}" y="{y0 + 16}" font-size="11">h{i}</text>')
 
     # peaking threshold
-    ty = py(report.threshold)
+    ty = py(threshold)
     parts.append(
         f'<line x1="{x0}" y1="{ty:.2f}" x2="{x1}" y2="{ty:.2f}" '
         f'stroke="#444444" stroke-dasharray="8,4"/>')
     parts.append(
         f'<text x="{x1 - 4}" y="{ty - 5:.2f}" text-anchor="end" font-size="11">'
-        f'{report.threshold:.0f} MW threshold</text>')
+        f'{threshold:.0f} MW threshold</text>')
 
     for name, color, dash in _SERIES_STYLE:
         pts = " ".join(f"{px(i):.2f},{py(series[name][i]):.2f}" for i in range(n))

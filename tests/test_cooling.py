@@ -33,6 +33,14 @@ def test_default_cop_coefficients_exact():
     assert (m.twb_min, m.twb_max, m.cop_floor) == (10.0, 30.0, 0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["c0", "c1", "c2", "c3", "c4", "c5",
+                                   "twb_min", "twb_max", "cop_floor"])
+def test_cop_model_rejects_non_finite_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        CopModel(**{field: value})
+
+
 def test_default_tes_values():
     t = TesConfig()
     assert t.e_max == t.e_initial == t.e_terminal == 175.6

@@ -1,5 +1,8 @@
 """The package's public surface: every exported name resolves."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -29,3 +32,32 @@ def test_cli_import_loads_every_traced_layer():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _perfbench_names(filename, *variables):
+    """The dotted names bound to `variables` in a perfbench module, read from
+    its source without importing it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", filename)
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Name) and node.targets[0].id in variables}
+    assert sorted(found) == sorted(variables), filename
+    return [name for v in variables for name in found[v]]
+
+
+def test_benchmark_traced_names_are_public_functions():
+    # the benchmark's tracer wraps functions by name; a renamed one would read 0
+    names = (_perfbench_names("workloads.py", "_CALLED", "_BUSY")
+             + _perfbench_names("tracer.py", "WRITERS"))
+    assert names
+    unresolved = []
+    for dotted in names:
+        layer, name = dotted.split(".")
+        module = importlib.import_module(f"gridshave.{layer}")
+        obj = getattr(module, name, None)
+        if not (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                and not name.startswith("_")):
+            unresolved.append(dotted)
+    assert unresolved == []

@@ -5,7 +5,7 @@ import pytest
 
 from gridshave.errors import ShapeError
 from gridshave.plant import PlantConfig, fuel_for_generation, fuel_savings
-from gridshave.report import report_from_arrays
+from gridshave.report import REPORT_COLUMNS, RunReport
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +45,10 @@ def test_near_threshold_flag(plant):
     # the report counts optimized hours in [threshold - peaking_margin_mw, threshold]
     optimized = np.array([56.5, 57.0, 55.9, 57.1])
     hours = [datetime(2023, 6, 12) + timedelta(hours=i) for i in range(4)]
-    zeros = np.zeros(4)
-    report = report_from_arrays(hours, zeros, zeros, zeros, zeros, optimized, optimized,
-                                optimized, zeros, zeros, zeros, plant, [])
-    assert report.near_threshold_hours == 2
+    table = {name: np.zeros(4) for name in REPORT_COLUMNS}
+    table.update(no_storage_mw=optimized, baseline_mw=optimized, optimized_mw=optimized)
+    report = RunReport(hours, table, plant, [])
+    assert report.metrics["near_threshold_hours"] == 2
 
 
 # ---------------------------------------------------------------------------

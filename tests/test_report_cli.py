@@ -9,11 +9,12 @@ import pytest
 import gridshave.optimizer
 import gridshave.run
 from gridshave.cli import cli_main
-from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel
+from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, cop_values
 from gridshave.errors import InfeasibleScheduleError
 from gridshave.optimizer import SolverOptions, objective, solve
-from gridshave.plant import DEFAULT_PLANT, fuel_savings
+from gridshave.plant import DEFAULT_PLANT, PlantConfig, fuel_savings
 from gridshave.report import (
+    RunReport,
     build_report,
     load_report_table,
     load_schedule_csv,
@@ -38,62 +39,61 @@ def run_report(synth_scenario, run_results):
 # report construction
 
 def test_report_peak_metrics_consistent(run_report):
-    r = run_report
-    assert r.peak_baseline_mw == pytest.approx(float(np.max(r.baseline)))
-    assert r.peak_optimized_mw == pytest.approx(float(np.max(r.optimized)))
-    assert r.peak_shaved_mw == pytest.approx(r.peak_baseline_mw - r.peak_optimized_mw)
-    assert r.peak_shaved_pct == pytest.approx(100.0 * r.peak_shaved_mw / r.peak_baseline_mw)
+    r, m = run_report, run_report.metrics
+    assert m["peak_baseline_mw"] == pytest.approx(float(np.max(r.table["baseline_mw"])))
+    assert m["peak_optimized_mw"] == pytest.approx(float(np.max(r.table["optimized_mw"])))
+    assert m["peak_shaved_mw"] == pytest.approx(m["peak_baseline_mw"] - m["peak_optimized_mw"])
+    assert m["peak_shaved_pct"] == pytest.approx(
+        100.0 * m["peak_shaved_mw"] / m["peak_baseline_mw"])
     # the default scenario crosses the threshold, and optimization clears it
-    assert r.peaking_hours_baseline > 0
-    assert r.peaking_hours_eliminated > 0
+    assert m["peaking_hours_baseline"] > 0
+    assert m["peaking_hours_eliminated"] > 0
 
 
 def test_report_identical_profiles_zero_metrics(run_report):
-    from gridshave.report import report_from_arrays
-
-    flat = report_from_arrays(
-        run_report.timestamps, run_report.p_base, run_report.q_cool,
-        run_report.q_s_c, run_report.twb, run_report.no_storage,
-        run_report.baseline, run_report.baseline.copy(), run_report.q_stor,
-        run_report.e_stor_end, run_report.p_ch, DEFAULT_PLANT, [])
-    assert flat.peak_shaved_mw == 0.0
-    assert flat.fuel_saved_mwh == 0.0
-    assert flat.fuel_saved_pct == 0.0
-    assert flat.peaking_hours_eliminated == 0
+    table = dict(run_report.table, optimized_mw=run_report.table["baseline_mw"].copy())
+    flat = RunReport(run_report.timestamps, table, DEFAULT_PLANT, []).metrics
+    assert flat["peak_shaved_mw"] == 0.0
+    assert flat["fuel_saved_mwh"] == 0.0
+    assert flat["fuel_saved_pct_above_threshold"] == 0.0
+    assert flat["peaking_hours_eliminated"] == 0
 
 
 def test_report_fuel_metrics_match_plant_accounting(run_report):
-    fs = fuel_savings(run_report.baseline, run_report.optimized, DEFAULT_PLANT)
-    assert run_report.fuel_saved_mwh == pytest.approx(fs.saved_mwh)
-    assert run_report.fuel_saved_pct == pytest.approx(fs.percent)
-    assert run_report.fuel_saved_pct_total == pytest.approx(fs.percent_of_total)
+    fs = fuel_savings(run_report.table["baseline_mw"], run_report.table["optimized_mw"],
+                      DEFAULT_PLANT)
+    m = run_report.metrics
+    assert m["fuel_saved_mwh"] == pytest.approx(fs.saved_mwh)
+    assert m["fuel_saved_pct_above_threshold"] == pytest.approx(fs.percent)
+    assert m["fuel_saved_pct_total"] == pytest.approx(fs.percent_of_total)
 
 
 def test_report_metrics_recomputable_from_emitted_csv(tmp_path, run_report):
     paths = write_run_outputs(run_report, str(tmp_path / "run"))
     table = load_report_table(paths["report"])
+    m = run_report.metrics
     assert float(np.max(table["baseline_mw"])) == pytest.approx(
-        run_report.peak_baseline_mw, abs=1e-6)
+        m["peak_baseline_mw"], abs=1e-6)
     assert float(np.max(table["optimized_mw"])) == pytest.approx(
-        run_report.peak_optimized_mw, abs=1e-6)
-    above_base = table["baseline_mw"] > run_report.threshold
-    above_opt = table["optimized_mw"] > run_report.threshold
-    assert int(np.sum(above_base & ~above_opt)) == run_report.peaking_hours_eliminated
+        m["peak_optimized_mw"], abs=1e-6)
+    above_base = table["baseline_mw"] > run_report.plant.threshold
+    above_opt = table["optimized_mw"] > run_report.plant.threshold
+    assert int(np.sum(above_base & ~above_opt)) == m["peaking_hours_eliminated"]
 
 
 def test_report_rebuild_from_run_dir(tmp_path, run_report):
     out = str(tmp_path / "run")
     write_run_outputs(run_report, out)
-    rebuilt = rebuild_report(out, DEFAULT_PLANT)
-    assert rebuilt.peak_baseline_mw == pytest.approx(run_report.peak_baseline_mw, abs=1e-6)
-    assert rebuilt.fuel_saved_mwh == pytest.approx(run_report.fuel_saved_mwh, abs=1e-3)
-    assert rebuilt.peaking_hours_eliminated == run_report.peaking_hours_eliminated
+    rebuilt, m = rebuild_report(out, DEFAULT_PLANT).metrics, run_report.metrics
+    assert rebuilt["peak_baseline_mw"] == pytest.approx(m["peak_baseline_mw"], abs=1e-6)
+    assert rebuilt["fuel_saved_mwh"] == pytest.approx(m["fuel_saved_mwh"], abs=1e-3)
+    assert rebuilt["peaking_hours_eliminated"] == m["peaking_hours_eliminated"]
 
 
 def test_schedule_csv_round_trip(tmp_path, run_report):
     paths = write_run_outputs(run_report, str(tmp_path / "run"))
     rates = load_schedule_csv(paths["schedule"])
-    assert np.array_equal(rates, run_report.q_stor)
+    assert np.array_equal(rates, run_report.table["q_stor_mw"])
 
 
 def test_svg_is_deterministic_and_well_formed(tmp_path, run_report):
@@ -215,6 +215,23 @@ def test_cli_fit(tmp_path):
         assert "cvrmse_pct" in fh.read()
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+def test_cli_fit_rejects_non_finite_cop_floor(tmp_path, capsys, floor):
+    from gridshave.regression import SampleSet, save_samples
+
+    rng = np.random.default_rng(23)
+    plr, twb = rng.uniform(0.0, 1.0, 40), rng.uniform(12.0, 28.0, 40)
+    samples_path = str(tmp_path / "samples.csv")
+    save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
+                 samples_path)
+    out_path = tmp_path / "cop.cfg"
+    # `=` keeps argparse from reading -inf as a flag
+    assert cli_main(["fit", "--samples", samples_path, "--out", str(out_path),
+                     f"--cop-floor={floor}"]) == 1
+    assert f"error: cop_floor must be finite, got {float(floor)}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_simulate_and_report(tmp_path):
     scenario_path = str(tmp_path / "day.csv")
     run_dir = str(tmp_path / "run")
@@ -273,6 +290,75 @@ DEFAULT_OUTPUT_SHA256 = {
     "report.csv": "6cb44df49ab671c75ed69e5f1f41b54c683b910e0c8cfdfa3e3dea8e285f2440",
     "profile.svg": "621200860517cccc9d88ce448958c0a4ee9a95e8ddf8721450e31c460c1b901f",
 }
+
+
+@pytest.fixture
+def default_run(tmp_path):
+    """A run directory written by `optimize` on the default 3-day scenario."""
+    scenario_path = str(tmp_path / "scenario.csv")
+    run_dir = tmp_path / "run"
+    assert cli_main(["synth", "--out", scenario_path]) == 0
+    assert cli_main(["optimize", "--scenario", scenario_path, "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+def _day_lines(text):
+    return [line for line in text.splitlines() if line.startswith("day ")]
+
+
+def test_cli_report_keeps_a_day_line_of_an_older_summary(default_run):
+    # summaries written before the interior-point solver carry a residual field
+    older = ("day 0: objective = 1291.6906 MW^2, iterations = 10, converged = True, "
+             "first_order_residual = 1.0e-09, p_mean = 46.375 (same-day)")
+    summary = default_run / "summary.txt"
+    lines = summary.read_text().splitlines()
+    lines[13] = older    # the first day line, after the 13 metric lines
+    summary.write_text("\n".join(lines) + "\n")
+    assert cli_main(["report", "--run", str(default_run)]) == 0
+    written = summary.read_text()
+    assert written == "\n".join(lines) + "\n"
+    assert _day_lines(written)[0] == older
+
+
+def test_cli_report_without_summary_writes_no_day_line(default_run, capsys):
+    summary = default_run / "summary.txt"
+    expected = DEFAULT_SUMMARY.splitlines()[:13]
+    summary.unlink()
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(default_run)]) == 0
+    assert summary.read_text().splitlines() == expected
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_cli_report_under_another_plant_keeps_the_day_lines(default_run, tmp_path):
+    plant_path = str(tmp_path / "plant.cfg")
+    PlantConfig(cap_gt=30.0, threshold=55.0).save(plant_path)
+    summary = default_run / "summary.txt"
+    before = summary.read_text()
+    assert cli_main(["report", "--run", str(default_run), "--plant", plant_path]) == 0
+    after = summary.read_text()
+    assert after.splitlines()[:13] != before.splitlines()[:13]
+    assert "peak_baseline_mw = 62.076" in after
+    assert _day_lines(after) == _day_lines(before)
+    assert after.encode().endswith("".join(f"{line}\n" for line in _day_lines(before)).encode())
+
+
+def test_cli_report_all_zero_baseline_exits_0(default_run, capsys):
+    report_csv = default_run / "report.csv"
+    lines = report_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    zeroed = [header.index(name) for name in ("no_storage_mw", "baseline_mw", "optimized_mw")]
+    for i, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        for j in zeroed:
+            cells[j] = "0.000000"
+        lines[i] = ",".join(cells)
+    report_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(default_run)]) == 0
+    out = capsys.readouterr().out
+    assert "peak_shaved_pct = 0.00" in out.splitlines()
+    assert "peak_baseline_mw = 0.000" in out.splitlines()
 
 
 def test_cli_default_outputs_keep_their_hashes(tmp_path):

@@ -70,8 +70,8 @@ def test_samples_round_trip_bit_exact(cols):
 @given(_columns(1, FINITE, FINITE))
 def test_schedule_round_trip_bit_exact(cols):
     q_stor, e_stor_end = cols
-    report = SimpleNamespace(timestamps=_hours(len(q_stor)), q_stor=q_stor,
-                             e_stor_end=e_stor_end)
+    report = SimpleNamespace(timestamps=_hours(len(q_stor)),
+                             table={"q_stor_mw": q_stor, "e_stor_end_mwh": e_stor_end})
     loaded = _round_trip(lambda p: write_schedule_csv(report, p), load_schedule_csv)
     assert _bits_equal(loaded, q_stor)
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig
@@ -31,7 +32,14 @@ EXIT_NOT_CONVERGED = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser that exits with code 1 on usage errors (argparse defaults to 2)."""
+    """Parser that exits with code 1 on usage errors (argparse defaults to 2)
+    and reads any negative float spelling after a flag (-1e3, -inf, -nan) as
+    that flag's value, so the value reaches its own validation."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -71,11 +79,11 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--out", required=True, help="output scenario CSV")
     p_synth.add_argument("--days", type=int, default=3)
     p_synth.add_argument("--seed", type=int, default=1)
-    p_synth.add_argument("--base-mw", type=float, default=None,
+    p_synth.add_argument("--base-mw", type=float, default=SynthParams.base_level_mw,
                          help="overnight base electric load level")
-    p_synth.add_argument("--cool-peak-mw", type=float, default=None,
+    p_synth.add_argument("--cool-peak-mw", type=float, default=SynthParams.cool_peak_amp_mw,
                          help="added cooling at the afternoon peak")
-    p_synth.add_argument("--noise-mw", type=float, default=None)
+    p_synth.add_argument("--noise-mw", type=float, default=SynthParams.noise_mw)
 
     p_opt = subs.add_parser("optimize", help="optimize storage schedules for a scenario")
     p_opt.add_argument("--scenario", required=True)
@@ -115,17 +123,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    params = SynthParams(days=args.days)
-    overrides = {}
-    if args.base_mw is not None:
-        overrides["base_level_mw"] = args.base_mw
-    if args.cool_peak_mw is not None:
-        overrides["cool_peak_amp_mw"] = args.cool_peak_mw
-    if args.noise_mw is not None:
-        overrides["noise_mw"] = args.noise_mw
-    if overrides:
-        from dataclasses import replace
-        params = replace(params, **overrides)
+    params = SynthParams(days=args.days, base_level_mw=args.base_mw,
+                         cool_peak_amp_mw=args.cool_peak_mw, noise_mw=args.noise_mw)
     scenario = generate_synthetic(params, seed=args.seed)
     write_scenario(scenario, args.out)
     print(f"wrote {args.out}: {len(scenario)} hours, seed {args.seed}")

@@ -68,19 +68,11 @@ class FuelSavings:
     total to the baseline fuel spent in hours where the baseline exceeded
     the threshold (the peak-shaving window), and percent_of_total relates
     it to all baseline fuel.
-
-    Unpacks as (saved_mwh, percent).
     """
 
     saved_mwh: float
     percent: float
     percent_of_total: float
-    fuel_baseline: np.ndarray
-    fuel_optimized: np.ndarray
-    per_hour_percent: np.ndarray
-
-    def __iter__(self):
-        return iter((self.saved_mwh, self.percent))
 
 
 def fuel_for_generation(p: np.ndarray, cfg: PlantConfig = DEFAULT_PLANT) -> np.ndarray:
@@ -111,15 +103,4 @@ def fuel_savings(baseline, optimized,
     percent = 100.0 * saved / denom_above if denom_above > 0.0 else 0.0
     percent_total = 100.0 * saved / denom_total if denom_total > 0.0 else 0.0
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_hour = np.where(fuel_base > 0.0,
-                            100.0 * (fuel_base - fuel_opt) / fuel_base, 0.0)
-
-    return FuelSavings(
-        saved_mwh=saved,
-        percent=percent,
-        percent_of_total=percent_total,
-        fuel_baseline=fuel_base,
-        fuel_optimized=fuel_opt,
-        per_hour_percent=per_hour,
-    )
+    return FuelSavings(saved_mwh=saved, percent=percent, percent_of_total=percent_total)

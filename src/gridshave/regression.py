@@ -26,12 +26,11 @@ MIN_SAMPLES = 12
 
 @dataclass(frozen=True)
 class SampleSet:
-    """(PLR, TWB, measured COP) triples with a provenance tag."""
+    """(PLR, TWB, measured COP) triples."""
 
     plr: np.ndarray
     twb: np.ndarray
     cop: np.ndarray
-    provenance: str = "synthetic"   # "measured" or "synthetic"
 
     def __post_init__(self):
         plr = np.asarray(self.plr, dtype=float)
@@ -51,8 +50,6 @@ class SampleSet:
             raise ValueError("samples contain non-finite values")
         if np.any(plr < 0.0) or np.any(plr > 1.0):
             raise ValueError("plr values must lie in [0, 1]")
-        if self.provenance not in ("measured", "synthetic"):
-            raise ValueError(f"unknown provenance tag {self.provenance!r}")
 
     def __len__(self):
         return int(self.plr.shape[0])
@@ -157,11 +154,10 @@ def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
     )
 
 
-def load_samples(path: str, provenance: str = "measured") -> SampleSet:
+def load_samples(path: str) -> SampleSet:
     """Read a sample CSV with header `plr,twb_c,cop`."""
     table, _ = read_table(path, SAMPLES_HEADER, "samples")
-    return SampleSet(plr=table["plr"], twb=table["twb_c"], cop=table["cop"],
-                     provenance=provenance)
+    return SampleSet(plr=table["plr"], twb=table["twb_c"], cop=table["cop"])
 
 
 def save_samples(samples: SampleSet, path: str) -> None:

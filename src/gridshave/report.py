@@ -98,7 +98,7 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
         "q_cool_mw": scenario.q_cool,
         "q_steam_mw": scenario.q_s_c,
         "twb_c": scenario.twb,
-        "no_storage_mw": np.concatenate([d.no_storage_generation for d in day_results]),
+        "no_storage_mw": np.concatenate([d.target.no_storage for d in day_results]),
         "baseline_mw": np.concatenate([d.heuristic_generation for d in day_results]),
         "optimized_mw": np.concatenate([d.optimal.generation for d in day_results]),
         "q_stor_mw": np.concatenate([d.optimal.schedule.q_stor for d in day_results]),
@@ -108,9 +108,10 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
     if table["baseline_mw"].shape[0] != len(scenario):
         raise ShapeError("day results do not cover the scenario")
     day_lines = [
-        f"day {d.day}: objective = {d.optimal.objective:.4f} MW^2, "
+        f"day {k}: objective = {d.optimal.objective:.4f} MW^2, "
         f"iterations = {d.optimal.iterations}, converged = {d.optimal.converged}, "
-        f"p_mean = {d.p_mean:.3f} ({d.p_mean_mode})" for d in day_results]
+        f"p_mean = {d.problem.p_mean:.3f} ({d.target.mode})"
+        for k, d in enumerate(day_results)]
     return RunReport(list(scenario.timestamps), table, plant, day_lines)
 
 

@@ -39,13 +39,13 @@ class DayTarget:
 
 @dataclass(frozen=True)
 class DayResult:
-    day: int
+    """One day of a run: its problem (which holds the flat target p_mean),
+    where that target came from, the schedule evaluated, and the generation
+    under the operator heuristic. The list position is the day's index."""
     problem: ScheduleProblem
+    target: DayTarget
     optimal: OptimalSchedule
     heuristic_generation: np.ndarray
-    no_storage_generation: np.ndarray
-    p_mean: float
-    p_mean_mode: str        # "previous-day" or "same-day"
 
 
 def build_problems(scenario: Scenario,
@@ -78,16 +78,10 @@ def build_problems(scenario: Scenario,
 def _day_results(problems: list[tuple[ScheduleProblem, DayTarget]],
                  schedules: list[OptimalSchedule]) -> list[DayResult]:
     """Pair each day's schedule with the generation of the operator heuristic
-    it carries and with the day's no-storage generation."""
-    out = []
-    for k, ((problem, target), optimal) in enumerate(zip(problems, schedules)):
-        out.append(DayResult(
-            day=k, problem=problem, optimal=optimal,
-            heuristic_generation=generation_profile(optimal.heuristic.q_stor, problem),
-            no_storage_generation=target.no_storage,
-            p_mean=problem.p_mean, p_mean_mode=target.mode,
-        ))
-    return out
+    it carries."""
+    return [DayResult(problem, target, optimal,
+                      generation_profile(optimal.heuristic.q_stor, problem))
+            for (problem, target), optimal in zip(problems, schedules)]
 
 
 def run_days(scenario: Scenario,

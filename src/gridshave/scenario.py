@@ -7,6 +7,10 @@ Scenario CSV schema (exact header):
 Timestamps are ISO-8601, strictly hourly. Metadata (name, source, seed)
 round-trips through leading `# key: value` comment lines. Floats are written
 with repr so load(write(s)) == s exactly.
+
+Synthetic days take their levels and amplitudes from SynthParams and their
+shape from the module constants PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR,
+STEAM_BASE_MW, STEAM_AMP_MW and DAY_SCALE.
 """
 
 from __future__ import annotations
@@ -146,15 +150,26 @@ def write_scenario(scenario: Scenario, path: str) -> None:
                       "seed": "none" if scenario.seed is None else scenario.seed})
 
 
+#: The fixed shape of every synthetic day. Electric and cooling load peak on
+#: a Gaussian bell centred at PEAK_HOUR, PEAK_WIDTH_H hours wide; the wet bulb
+#: follows a cosine peaking at TWB_PEAK_HOUR and the steam load (MW) a cosine
+#: peaking at 07:00. Day k's peak amplitudes are scaled by DAY_SCALE[k % 3].
+PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR = 15.0, 3.2, 16.0
+STEAM_BASE_MW, STEAM_AMP_MW = 9.0, 3.0
+DAY_SCALE = (1.0, 0.93, 0.86)
+
+
 @dataclass(frozen=True)
 class SynthParams:
-    """Shape parameters for synthetic summer days.
+    """Levels and amplitudes of synthetic summer days. The hours and width of
+    their peaks, the steam load and the day-to-day scaling are the module
+    constants PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR, STEAM_BASE_MW,
+    STEAM_AMP_MW and DAY_SCALE.
 
     The defaults are tuned so that with the default plant, COP model and
     storage configs the no-storage generation peaks in the mid-60s MW on the
-    hottest day, with a mild overnight valley. `days` below 1, a nan or
-    infinite float field and an empty or non-finite `day_scale` raise
-    SynthesisError naming the field.
+    hottest day, with a mild overnight valley. `days` below 1 and a nan or
+    infinite float field raise SynthesisError naming the field.
     """
 
     days: int = 3
@@ -163,15 +178,9 @@ class SynthParams:
     base_peak_amp_mw: float = 8.5
     cool_base_mw: float = 66.0
     cool_peak_amp_mw: float = 71.0
-    peak_hour: float = 15.0
-    peak_width_h: float = 3.2
     twb_base_c: float = 21.0
     twb_amp_c: float = 4.0
-    twb_peak_hour: float = 16.0
-    steam_base_mw: float = 9.0
-    steam_amp_mw: float = 3.0
     noise_mw: float = 0.5
-    day_scale: tuple[float, ...] = (1.0, 0.93, 0.86)
 
     def __post_init__(self):
         if self.days < 1:
@@ -179,48 +188,35 @@ class SynthParams:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise SynthesisError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not self.day_scale or not all(map(math.isfinite, self.day_scale)):
-            raise SynthesisError(
-                f"day_scale must be a non-empty tuple of finite factors, got {self.day_scale!r}")
 
 
-def _daily_bell(hours: np.ndarray, center: float, width: float) -> np.ndarray:
-    return np.exp(-0.5 * ((hours - center) / width) ** 2)
-
-
-def generate_synthetic(params: SynthParams = SynthParams(),
-                       seed: int = 1,
-                       cop_model: CopModel = DEFAULT_COP_MODEL,
-                       tes: TesConfig = DEFAULT_TES,
-                       plant: PlantConfig = DEFAULT_PLANT) -> Scenario:
+def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Scenario:
     """Deterministic synthetic scenario with afternoon-peaked cooling.
 
-    Raises SynthesisError when the implied no-storage generation would exceed
-    the plant's total capacity or the chiller capacity at any hour.
+    Raises SynthesisError when the implied no-storage generation under the
+    default plant, COP model and storage would exceed the plant's total
+    capacity or the chiller capacity at any hour.
     """
     rng = np.random.default_rng(seed)
     hours = np.arange(HOURS_PER_DAY, dtype=float)
+    bell = np.exp(-0.5 * ((hours - PEAK_HOUR) / PEAK_WIDTH_H) ** 2)
+    twb_wave = np.cos(2.0 * math.pi * (hours - TWB_PEAK_HOUR) / 24.0)
+    steam = STEAM_BASE_MW + STEAM_AMP_MW * np.cos(2.0 * math.pi * (hours - 7.0) / 24.0)
 
     p_base_parts = []
     q_cool_parts = []
-    steam_parts = []
     twb_parts = []
     for day in range(params.days):
-        scale = params.day_scale[day % len(params.day_scale)]
-        bell = _daily_bell(hours, params.peak_hour, params.peak_width_h)
+        scale = DAY_SCALE[day % len(DAY_SCALE)]
         p_base = params.base_level_mw + scale * params.base_peak_amp_mw * bell
         q_cool = params.cool_base_mw + scale * params.cool_peak_amp_mw * bell
-        twb = params.twb_base_c + scale * params.twb_amp_c * np.cos(
-            2.0 * math.pi * (hours - params.twb_peak_hour) / 24.0)
-        steam = params.steam_base_mw + params.steam_amp_mw * np.cos(
-            2.0 * math.pi * (hours - 7.0) / 24.0)
+        twb = params.twb_base_c + scale * params.twb_amp_c * twb_wave
         if params.noise_mw > 0.0:
             p_base = p_base + rng.normal(0.0, params.noise_mw, HOURS_PER_DAY)
             q_cool = q_cool + rng.normal(0.0, 2.0 * params.noise_mw, HOURS_PER_DAY)
         p_base_parts.append(np.maximum(p_base, 0.0))
         q_cool_parts.append(np.maximum(q_cool, 0.0))
-        steam_parts.append(np.maximum(steam, 0.0))
-        twb_parts.append(np.clip(twb, cop_model.twb_min, cop_model.twb_max))
+        twb_parts.append(np.clip(twb, DEFAULT_COP_MODEL.twb_min, DEFAULT_COP_MODEL.twb_max))
 
     timestamps = [params.start + timedelta(hours=i)
                   for i in range(params.days * HOURS_PER_DAY)]
@@ -228,7 +224,7 @@ def generate_synthetic(params: SynthParams = SynthParams(),
         timestamps=timestamps,
         p_base=np.concatenate(p_base_parts),
         q_cool=np.concatenate(q_cool_parts),
-        q_s_c=np.concatenate(steam_parts),
+        q_s_c=np.tile(steam, params.days),
         twb=np.concatenate(twb_parts),
         name=f"synthetic-{seed}",
         source="synthetic",
@@ -236,13 +232,13 @@ def generate_synthetic(params: SynthParams = SynthParams(),
     )
 
     try:
-        g = no_storage_baseline(scenario, cop_model, plant, tes)
+        g = no_storage_baseline(scenario)
     except (ChillerCapacityError, DegenerateCopError, InfeasibleDemandError) as exc:
         raise SynthesisError(f"synthetic parameters are infeasible: {exc}") from exc
-    if float(np.max(g)) > plant.cap_total:
+    if float(np.max(g)) > DEFAULT_PLANT.cap_total:
         raise SynthesisError(
             f"synthetic parameters imply a no-storage peak of {np.max(g):.1f} MW, "
-            f"above total plant capacity {plant.cap_total} MW")
+            f"above total plant capacity {DEFAULT_PLANT.cap_total} MW")
     return scenario
 
 

@@ -19,12 +19,6 @@ def test_default_plant_capacities(plant):
     assert plant.peaking_margin_mw == 1.0
 
 
-def test_fuel_savings_unpacks_as_pair(plant):
-    saved, percent = fuel_savings([61.0], [58.0], plant)
-    assert saved == pytest.approx(15.0)
-    assert percent == pytest.approx(9.23, abs=0.01)
-
-
 # ---------------------------------------------------------------------------
 # peaking rule: generation above the threshold goes on the peaking path
 

@@ -141,9 +141,6 @@ def test_sample_set_validation():
         SampleSet(plr=np.full(12, 1.5), twb=np.full(12, 20.0), cop=np.full(12, 5.0))
     with pytest.raises(ValueError):
         SampleSet(plr=np.full(12, 0.5), twb=np.full(12, np.nan), cop=np.full(12, 5.0))
-    with pytest.raises(ValueError):
-        SampleSet(plr=np.full(12, 0.5), twb=np.full(12, 20.0), cop=np.full(12, 5.0),
-                  provenance="guessed")
 
 
 def test_samples_csv_round_trip(tmp_path, cop_model):

@@ -13,6 +13,7 @@ from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, cop_valu
 from gridshave.errors import InfeasibleScheduleError
 from gridshave.optimizer import SolverOptions, objective, solve
 from gridshave.plant import DEFAULT_PLANT, PlantConfig, fuel_savings
+from gridshave.regression import SampleSet, save_samples
 from gridshave.report import (
     RunReport,
     build_report,
@@ -150,7 +151,7 @@ def test_day_results_carry_each_days_baseline(synth_scenario, run_results):
     for results in (run_results, fixed):
         assert len(results) == 3
         for day, result in zip(split_days(synth_scenario), results):
-            assert result.no_storage_generation.tobytes() == no_storage_baseline(day).tobytes()
+            assert result.target.no_storage.tobytes() == no_storage_baseline(day).tobytes()
 
 
 def test_operator_heuristic_runs_once_per_day(monkeypatch, synth_scenario, run_results):
@@ -291,6 +292,11 @@ DEFAULT_OUTPUT_SHA256 = {
     "profile.svg": "621200860517cccc9d88ce448958c0a4ee9a95e8ddf8721450e31c460c1b901f",
 }
 
+#: sha256 of the scenario CSV written by `synth` with its defaults (seed 1,
+#: 3 days). report.csv prints the inputs to 6 decimals only; this pins them
+#: at full precision.
+DEFAULT_SYNTH_SHA256 = "0ff67111fa7a30ada1e64f8e12a64111aa72a72a42a8acb9178498ae961eb311"
+
 
 @pytest.fixture
 def default_run(tmp_path):
@@ -372,6 +378,12 @@ def test_cli_default_outputs_keep_their_hashes(tmp_path):
         for name, digest in DEFAULT_OUTPUT_SHA256.items():
             assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, \
                 f"{run}/{name}"
+
+
+def test_cli_default_synth_keeps_its_hash(tmp_path):
+    path = tmp_path / "scenario.csv"
+    assert cli_main(["synth", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SYNTH_SHA256
 
 
 def test_cli_workers_flag_is_ignored(tmp_path):
@@ -457,6 +469,35 @@ def test_cli_synth_rejects_non_finite_parameter(tmp_path, capsys, flag, field):
     out = tmp_path / "day.csv"
     assert cli_main(["synth", "--out", str(out), "--days", "1", flag, "nan"]) == 1
     assert f"error: {field} must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NEGATIVE_SPELLINGS = [
+    ("fit", ["--cop-floor", "-inf"], "cop_floor must be finite, got -inf"),
+    ("fit", ["--cop-floor", "-nan"], "cop_floor must be finite, got nan"),
+    ("synth", ["--noise-mw", "-nan"], "noise_mw must be finite, got nan"),
+    ("synth", ["--base-mw", "-inf"], "base_level_mw must be finite, got -inf"),
+    ("synth", ["--cool-peak-mw", "-Infinity"], "cool_peak_amp_mw must be finite, got -inf"),
+    ("synth", ["--days", "-1e3"], "argument --days: invalid int value: '-1e3'"),
+    ("synth", ["--days", "-2"], "days must be at least 1, got -2"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", _NEGATIVE_SPELLINGS,
+                         ids=[" ".join([c] + f) for c, f, _ in _NEGATIVE_SPELLINGS])
+def test_cli_reads_a_negative_float_after_a_flag_as_its_value(tmp_path, capsys, command,
+                                                              flags, message):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)] + flags
+    if command == "fit":
+        rng = np.random.default_rng(23)
+        plr, twb = rng.uniform(0.0, 1.0, 40), rng.uniform(12.0, 28.0, 40)
+        samples_path = str(tmp_path / "samples.csv")
+        save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
+                     samples_path)
+        argv += ["--samples", samples_path]
+    assert cli_main(argv) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -164,7 +164,7 @@ def test_synthetic_default_no_storage_peak_in_band(synth_scenario):
 
 def test_synthetic_zero_amplitude_is_flat():
     params = SynthParams(days=1, base_peak_amp_mw=0.0, cool_peak_amp_mw=0.0,
-                         twb_amp_c=0.0, steam_amp_mw=0.0, noise_mw=0.0)
+                         twb_amp_c=0.0, noise_mw=0.0)
     scenario = generate_synthetic(params, seed=1)
     assert np.ptp(scenario.p_base) == 0.0
     assert np.ptp(scenario.q_cool) == 0.0
@@ -195,12 +195,6 @@ _SYNTH_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SynthParams) if f.type
 def test_synth_params_reject_non_finite_field(name, value):
     with pytest.raises(SynthesisError, match=f"^{name} must be finite, got {value}$"):
         SynthParams(days=1, **{name: value})
-
-
-@pytest.mark.parametrize("day_scale", [(), (1.0, math.nan), (math.inf,)])
-def test_synth_params_reject_bad_day_scale(day_scale):
-    with pytest.raises(SynthesisError, match="^day_scale must be a non-empty tuple"):
-        SynthParams(days=1, day_scale=day_scale)
 
 
 def test_synthetic_embeds_seed(synth_scenario):

@@ -60,7 +60,7 @@ def test_scenario_round_trip_bit_exact(cols, seed):
 @settings(max_examples=60, deadline=None)
 @given(_columns(MIN_SAMPLES, st.floats(0.0, 1.0), FINITE, FINITE))
 def test_samples_round_trip_bit_exact(cols):
-    samples = SampleSet(*cols, provenance="measured")
+    samples = SampleSet(*cols)
     loaded = _round_trip(lambda p: save_samples(samples, p), load_samples)
     for attr in ("plr", "twb", "cop"):
         assert _bits_equal(getattr(loaded, attr), getattr(samples, attr))

@@ -147,7 +147,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_simulate(args) -> int:
     plant, cop_model, tes, _ = _load_configs(args)
     scenario = load_scenario(args.scenario)
-    q_stor = load_schedule_csv(args.schedule)
+    q_stor = load_schedule_csv(args.schedule, scenario.timestamps)
     results = evaluate_fixed_schedule(scenario, q_stor, plant, cop_model, tes,
                                       p_mean_mode=args.p_mean_mode)
     report = build_report(scenario, results, plant)

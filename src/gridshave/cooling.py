@@ -15,14 +15,16 @@ temperature (TWB):
 The default coefficients were fitted on summer operating data; the surface
 goes negative outside that regime (e.g. full load at freezing wet-bulb), so
 evaluation is guarded by a validity window on TWB and a COP floor.
+
+Hourly series are stdlib `array.array('d')`, computed hour by hour.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
-
-import numpy as np
+from itertools import accumulate
 
 from .configio import ConfigFile
 from .errors import (
@@ -63,6 +65,9 @@ class CopModel(ConfigFile):
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        # a COP is a positive ratio, so a floor at or below 0 checks nothing
+        if self.cop_floor <= 0.0:
+            raise ValueError(f"cop_floor must be positive, got {self.cop_floor}")
 
     def coefficients(self) -> tuple[float, ...]:
         return (self.c0, self.c1, self.c2, self.c3, self.c4, self.c5)
@@ -98,29 +103,28 @@ class StorageSchedule:
     """Hourly charge/discharge rates plus the implied stored-energy trajectory.
 
     q_stor has length T (positive = charging); e_stor has length T+1 with
-    e_stor[0] the state before the first hour.
+    e_stor[0] the state before the first hour. Both are stored as
+    `array('d')` copies of the given series.
     """
 
-    q_stor: np.ndarray
-    e_stor: np.ndarray
+    q_stor: array
+    e_stor: array
 
     def __post_init__(self):
-        q = np.asarray(self.q_stor, dtype=float)
-        e = np.asarray(self.e_stor, dtype=float)
+        q, e = array("d", self.q_stor), array("d", self.e_stor)
         object.__setattr__(self, "q_stor", q)
         object.__setattr__(self, "e_stor", e)
-        if q.ndim != 1 or e.ndim != 1 or e.shape[0] != q.shape[0] + 1:
+        if len(e) != len(q) + 1:
             raise ShapeError(
-                f"schedule shapes inconsistent: q_stor {q.shape}, e_stor {e.shape}")
+                f"schedule lengths inconsistent: q_stor {len(q)}, e_stor {len(e)}")
 
     @property
     def horizon(self) -> int:
-        return int(self.q_stor.shape[0])
+        return len(self.q_stor)
 
     @classmethod
     def from_rates(cls, q_stor, tes: TesConfig) -> "StorageSchedule":
-        q = np.asarray(q_stor, dtype=float)
-        return cls(q_stor=q, e_stor=storage_trajectory(q, tes))
+        return cls(q_stor=q_stor, e_stor=storage_trajectory(q_stor, tes))
 
 
 @dataclass(frozen=True)
@@ -142,12 +146,13 @@ def cop_coefficients(twb, model: CopModel):
     return model.c1 + model.c4 * twb, model.c0 + model.c2 * twb + model.c5 * twb * twb
 
 
-def cop_values(plr, twb, model: CopModel, coefficients=None) -> np.ndarray:
-    """The package's one COP polynomial, vectorized and unguarded (callers check
-    the domain); `coefficients` is `cop_coefficients(twb, model)` if known."""
-    b, c = cop_coefficients(np.asarray(twb, dtype=float), model) \
-        if coefficients is None else coefficients
-    plr = np.asarray(plr, dtype=float)
+def cop_values(plr, twb, model: CopModel, coefficients=None):
+    """The package's one COP polynomial, unguarded (callers check the domain).
+
+    Written with plain operators, so it takes one hour's floats or whole
+    numpy arrays alike; `coefficients` is `cop_coefficients(twb, model)` if
+    known."""
+    b, c = cop_coefficients(twb, model) if coefficients is None else coefficients
     return c + (b + model.c3 * plr) * plr
 
 
@@ -162,7 +167,7 @@ def cop(plr: float, twb: float, model: CopModel = DEFAULT_COP_MODEL) -> float:
     if not model.twb_min <= twb <= model.twb_max:
         raise CopDomainError(
             f"twb={twb} outside validity range [{model.twb_min}, {model.twb_max}] C")
-    value = float(cop_values(plr, twb, model))
+    value = cop_values(plr, twb, model)
     if value <= model.cop_floor:
         raise DegenerateCopError(
             f"COP {value:.4f} at plr={plr}, twb={twb} is at or below floor {model.cop_floor}")
@@ -176,11 +181,12 @@ CHILLER_OUTPUT_TOL = 1e-9
 def chiller_power(q_ch, twb, model: CopModel = DEFAULT_COP_MODEL,
                   tes: TesConfig = DEFAULT_TES):
     """Electric draw q_ch / COP of the chiller plant delivering q_ch MW of
-    cooling at wet-bulb twb; hourly arrays give the draw per hour.
+    cooling at wet-bulb twb: a float for one hour's floats, an `array('d')`
+    of the draw per hour for equal-length hourly series.
 
     The package's one validated chiller-power pass. PLR is clipped to [0, 1],
     and an output within CHILLER_OUTPUT_TOL below zero draws nothing. The
-    first faulty hour raises, its message prefixed `hour t:` for arrays and
+    first faulty hour raises, its message prefixed `hour t:` for series and
     its `hour` set to t:
     - CopDomainError for a non-finite output;
     - InfeasibleDischargeError for an output below -CHILLER_OUTPUT_TOL;
@@ -189,50 +195,43 @@ def chiller_power(q_ch, twb, model: CopModel = DEFAULT_COP_MODEL,
     - DegenerateCopError for a COP at or below the floor.
     """
     m = model
-    q = np.asarray(q_ch, dtype=float)
-    w = np.asarray(twb, dtype=float)
-    plr = np.clip(q / tes.q_ch_max, 0.0, 1.0)
-    with np.errstate(all="ignore"):   # a faulty hour may overflow; it raises below
-        value = cop_values(plr, w, m)
-        ok = ((q >= -CHILLER_OUTPUT_TOL) & (q <= tes.q_ch_max + CHILLER_OUTPUT_TOL)
-              & (w >= m.twb_min) & (w <= m.twb_max) & (value > m.cop_floor))
-        p_ch = np.where(q > 0.0, q / value, 0.0)
-    if not ok.all():
-        t = int(np.flatnonzero(~ok)[0])
-        q_t, w_t, cop_t, plr_t = (float(np.ravel(v)[t])
-                                  for v in np.broadcast_arrays(q, w, value, plr))
-        if not math.isfinite(q_t):
-            error, message = CopDomainError, f"chiller output {q_t} MW is not a finite number"
-        elif q_t < -CHILLER_OUTPUT_TOL:
-            error, message = InfeasibleDischargeError, f"chiller output {q_t} MW is negative"
-        elif q_t > tes.q_ch_max + CHILLER_OUTPUT_TOL:
+    q_max, twb_min, twb_max, floor = tes.q_ch_max, m.twb_min, m.twb_max, m.cop_floor
+    one_hour = isinstance(q_ch, (int, float))
+    p_ch = array("d")
+    for t, (q, w) in enumerate(zip([q_ch] if one_hour else q_ch,
+                                   [twb] if one_hour else twb, strict=True)):
+        if not math.isfinite(q):
+            error, message = CopDomainError, f"chiller output {q} MW is not a finite number"
+        elif q < -CHILLER_OUTPUT_TOL:
+            error, message = InfeasibleDischargeError, f"chiller output {q} MW is negative"
+        elif q > q_max + CHILLER_OUTPUT_TOL:
             error, message = ChillerCapacityError, (
-                f"chiller output {q_t} MW exceeds nominal capacity {tes.q_ch_max} MW")
-        elif not m.twb_min <= w_t <= m.twb_max:
+                f"chiller output {q} MW exceeds nominal capacity {q_max} MW")
+        elif not twb_min <= w <= twb_max:
             error, message = CopDomainError, (
-                f"twb={w_t} outside validity range [{m.twb_min}, {m.twb_max}] C")
+                f"twb={w} outside validity range [{twb_min}, {twb_max}] C")
         else:
+            plr = min(max(q / q_max, 0.0), 1.0)
+            value = cop_values(plr, w, m)
+            if value > floor:
+                p_ch.append(q / value if q > 0.0 else 0.0)
+                continue
             error, message = DegenerateCopError, (
-                f"COP {cop_t:.4f} at plr={plr_t:.4f}, twb={w_t} is at or below floor "
-                f"{m.cop_floor}")
-        raise error(f"hour {t}: {message}", hour=t) if p_ch.ndim else error(message)
-    return p_ch if p_ch.ndim else float(p_ch)
+                f"COP {value:.4f} at plr={plr:.4f}, twb={w} is at or below floor {floor}")
+        raise error(message) if one_hour else error(f"hour {t}: {message}", hour=t)
+    return p_ch[0] if one_hour else p_ch
 
 
-def storage_trajectory(q_stor, tes: TesConfig) -> np.ndarray:
+def storage_trajectory(q_stor, tes: TesConfig) -> array:
     """Stored energy before each hour and after the last one (length T+1).
 
     Pure recursion from e_initial; bounds are not enforced here, use
     check_schedule for that.
     """
-    q = np.asarray(q_stor, dtype=float)
-    if q.ndim != 1 or q.shape[0] < 1:
-        raise ShapeError("q_stor must be a 1-D series of at least one hour")
-    e = np.empty(q.shape[0] + 1, dtype=float)
-    e[0] = tes.e_initial
-    np.cumsum(q, out=e[1:])
-    e[1:] += tes.e_initial
-    return e
+    if len(q_stor) < 1:
+        raise ShapeError("q_stor must be a series of at least one hour")
+    e0 = tes.e_initial
+    return array("d", [e0, *(s + e0 for s in accumulate(q_stor))])
 
 
 def check_schedule(schedule: StorageSchedule, tes: TesConfig,
@@ -241,37 +240,29 @@ def check_schedule(schedule: StorageSchedule, tes: TesConfig,
 
     Returns an empty list iff every limit holds within tol (MWh / MW). A nan
     or inf rate is a `non_finite` violation at its hour, and no other limit
-    is checked then.
+    is checked then. Otherwise the violations come kind by kind: stored
+    energy off the recursion of its rates (a nan one too), rate, tank
+    bottom, tank top, initial and terminal state.
     """
-    q = schedule.q_stor
-    e = schedule.e_stor
-    rates_ok = np.abs(q).max(initial=0.0) <= tes.rate_max + tol   # False for nan or inf too
-    if not rates_ok:
-        bad = np.flatnonzero(~np.isfinite(q))
-        if bad.size:
-            return [Violation("non_finite", int(i), float(q[i]), tes.rate_max) for i in bad]
-    recomputed = np.empty_like(e)
-    recomputed[0] = e[0]
-    np.cumsum(q, out=recomputed[1:])
-    recomputed[1:] += e[0]
-    drift = np.abs(e - recomputed)
-    # all clear in one vectorized test, as a nan fails every comparison in it;
-    # otherwise each kind of limit is scanned for its violations
-    if (rates_ok and drift.max() <= tol and -tol <= e.min() and e.max() <= tes.e_max + tol
-            and abs(e[0] - tes.e_initial) <= tol and abs(e[-1] - tes.e_terminal) <= tol):
-        return []
-    out: list[Violation] = []
-    for i in np.nonzero(~(drift <= tol))[0]:   # a nan stored energy drifts too
-        out.append(Violation("trajectory", int(i), float(e[i]), float(recomputed[i])))
-
-    for i in np.nonzero(np.abs(q) > tes.rate_max + tol)[0]:
-        out.append(Violation("rate", int(i), float(q[i]), tes.rate_max))
-    for i in np.nonzero(e < -tol)[0]:
-        out.append(Violation("soc_low", int(i), float(e[i]), 0.0))
-    for i in np.nonzero(e > tes.e_max + tol)[0]:
-        out.append(Violation("soc_high", int(i), float(e[i]), tes.e_max))
-    if abs(e[0] - tes.e_initial) > tol:
-        out.append(Violation("initial_soc", -1, float(e[0]), tes.e_initial))
+    q, e = schedule.q_stor, schedule.e_stor
+    bad = [Violation("non_finite", t, v, tes.rate_max)
+           for t, v in enumerate(q) if not math.isfinite(v)]
+    if bad:
+        return bad
+    e0, top = e[0], tes.e_max + tol
+    drift, low, high = [], [], []
+    for t, (v, recomputed) in enumerate(zip(e, [e0, *(s + e0 for s in accumulate(q))])):
+        if not abs(v - recomputed) <= tol:
+            drift.append(Violation("trajectory", t, v, recomputed))
+        if v < -tol:
+            low.append(Violation("soc_low", t, v, 0.0))
+        if v > top:
+            high.append(Violation("soc_high", t, v, tes.e_max))
+    rate = [Violation("rate", t, v, tes.rate_max)
+            for t, v in enumerate(q) if abs(v) > tes.rate_max + tol]
+    out = drift + rate + low + high
+    if abs(e0 - tes.e_initial) > tol:
+        out.append(Violation("initial_soc", -1, e0, tes.e_initial))
     if abs(e[-1] - tes.e_terminal) > tol:
-        out.append(Violation("terminal_soc", -1, float(e[-1]), tes.e_terminal))
+        out.append(Violation("terminal_soc", -1, e[-1], tes.e_terminal))
     return out

@@ -11,9 +11,9 @@ figures come from this model.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from operator import sub
 
 from .configio import ConfigFile
 from .errors import ShapeError
@@ -75,31 +75,28 @@ class FuelSavings:
     percent_of_total: float
 
 
-def fuel_for_generation(p: np.ndarray, cfg: PlantConfig = DEFAULT_PLANT) -> np.ndarray:
+def fuel_for_generation(p, cfg: PlantConfig = DEFAULT_PLANT) -> array:
     """Hourly fuel heat input for a generation profile, MW."""
-    p = np.asarray(p, dtype=float)
-    return (np.minimum(p, cfg.threshold) / cfg.eta_cc
-            + np.maximum(p - cfg.threshold, 0.0) / cfg.eta_peak)
+    return array("d", [min(g, cfg.threshold) / cfg.eta_cc
+                       + max(g - cfg.threshold, 0.0) / cfg.eta_peak for g in p])
 
 
 def fuel_savings(baseline, optimized,
                  cfg: PlantConfig = DEFAULT_PLANT) -> FuelSavings:
     """Fuel saved by the optimized profile relative to the baseline."""
-    base = np.asarray(baseline, dtype=float)
-    opt = np.asarray(optimized, dtype=float)
-    if base.shape != opt.shape or base.ndim != 1:
+    base, opt = array("d", baseline), array("d", optimized)
+    if len(base) != len(opt):
         raise ShapeError(
-            f"profiles must be equal-length 1-D series, got {base.shape} and {opt.shape}")
-    if np.any(base < 0.0) or np.any(opt < 0.0):
+            f"profiles must be equal-length series, got {len(base)} and {len(opt)} hours")
+    if any(g < 0.0 for g in base) or any(g < 0.0 for g in opt):
         raise ValueError("generation profiles must be nonnegative")
 
     fuel_base = fuel_for_generation(base, cfg)
     fuel_opt = fuel_for_generation(opt, cfg)
-    saved = float(np.sum(fuel_base - fuel_opt))
+    saved = sum(map(sub, fuel_base, fuel_opt))
 
-    above = base > cfg.threshold
-    denom_above = float(np.sum(fuel_base[above]))
-    denom_total = float(np.sum(fuel_base))
+    denom_above = sum(f for f, g in zip(fuel_base, base) if g > cfg.threshold)
+    denom_total = sum(fuel_base)
     percent = 100.0 * saved / denom_above if denom_above > 0.0 else 0.0
     percent_total = 100.0 * saved / denom_total if denom_total > 0.0 else 0.0
 

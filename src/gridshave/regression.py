@@ -3,14 +3,18 @@
 The basis is fixed to the six quadratic terms {1, plr, twb, plr^2, twb*plr,
 twb^2}. CVRMSE and MBE follow the building-simulation calibration convention:
 CVRMSE uses the (n-1) denominator, and MBE is signed so that a model that
-underestimates the measurement comes out positive.
+underestimates the measurement comes out positive. Samples are `array('d')`
+series; the fit itself (`design_matrix`, `fit_cop_model`) loads numpy for its
+SVD-backed least squares.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
+from operator import sub
 
 from .cooling import CopModel
 from .errors import MetricUndefinedError, ShapeError, SingularFitError
@@ -26,33 +30,29 @@ MIN_SAMPLES = 12
 
 @dataclass(frozen=True)
 class SampleSet:
-    """(PLR, TWB, measured COP) triples."""
+    """(PLR, TWB, measured COP) triples, stored as `array('d')` copies."""
 
-    plr: np.ndarray
-    twb: np.ndarray
-    cop: np.ndarray
+    plr: array
+    twb: array
+    cop: array
 
     def __post_init__(self):
-        plr = np.asarray(self.plr, dtype=float)
-        twb = np.asarray(self.twb, dtype=float)
-        cop = np.asarray(self.cop, dtype=float)
-        object.__setattr__(self, "plr", plr)
-        object.__setattr__(self, "twb", twb)
-        object.__setattr__(self, "cop", cop)
-        if not (plr.shape == twb.shape == cop.shape) or plr.ndim != 1:
-            raise ShapeError("plr, twb and cop must be equal-length 1-D series")
-        if plr.shape[0] < MIN_SAMPLES:
+        for name in ("plr", "twb", "cop"):
+            object.__setattr__(self, name, array("d", getattr(self, name)))
+        plr, twb, cop = self.plr, self.twb, self.cop
+        if not len(plr) == len(twb) == len(cop):
+            raise ShapeError("plr, twb and cop must be equal-length series")
+        if len(plr) < MIN_SAMPLES:
             raise ValueError(
                 f"need at least {MIN_SAMPLES} samples for a 6-coefficient fit, "
-                f"got {plr.shape[0]}")
-        if not (np.all(np.isfinite(plr)) and np.all(np.isfinite(twb))
-                and np.all(np.isfinite(cop))):
+                f"got {len(plr)}")
+        if not all(map(math.isfinite, chain(plr, twb, cop))):
             raise ValueError("samples contain non-finite values")
-        if np.any(plr < 0.0) or np.any(plr > 1.0):
+        if not all(0.0 <= v <= 1.0 for v in plr):
             raise ValueError("plr values must lie in [0, 1]")
 
     def __len__(self):
-        return int(self.plr.shape[0])
+        return len(self.plr)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,10 @@ class FitReport:
         ])
 
 
-def design_matrix(plr: np.ndarray, twb: np.ndarray) -> np.ndarray:
+def design_matrix(plr, twb):
+    """The six basis columns at the samples, as a numpy matrix."""
+    import numpy as np
+
     plr = np.asarray(plr, dtype=float)
     twb = np.asarray(twb, dtype=float)
     return np.column_stack([
@@ -82,8 +85,10 @@ def design_matrix(plr: np.ndarray, twb: np.ndarray) -> np.ndarray:
     ])
 
 
-def _collinear_columns(X: np.ndarray) -> list[str]:
+def _collinear_columns(X) -> list[str]:
     """Names of basis columns that add no rank (greedy, left to right)."""
+    import numpy as np
+
     bad = []
     rank = 0
     for j in range(X.shape[1]):
@@ -94,32 +99,33 @@ def _collinear_columns(X: np.ndarray) -> list[str]:
     return bad
 
 
+def _paired(pred, meas) -> tuple[array, array]:
+    pred, meas = array("d", pred), array("d", meas)
+    if len(pred) != len(meas):
+        raise ShapeError(f"series lengths differ: {len(pred)} vs {len(meas)}")
+    return pred, meas
+
+
 def cvrmse(pred, meas) -> float:
     """Coefficient of variation of the RMSE, percent, (n-1) denominator."""
-    pred = np.asarray(pred, dtype=float)
-    meas = np.asarray(meas, dtype=float)
-    if pred.shape != meas.shape or pred.ndim != 1:
-        raise ShapeError(f"series shapes differ: {pred.shape} vs {meas.shape}")
-    n = meas.shape[0]
+    pred, meas = _paired(pred, meas)
+    n = len(meas)
     if n < 2:
         raise ShapeError("need at least two samples for CVRMSE")
-    mean = float(np.mean(meas))
+    mean = sum(meas) / n
     if mean == 0.0:
         raise MetricUndefinedError("CVRMSE undefined: measured series has zero mean")
-    rmse = np.sqrt(np.sum((meas - pred) ** 2) / (n - 1))
-    return float(100.0 * rmse / mean)
+    rmse = math.sqrt(sum((m - p) * (m - p) for p, m in zip(pred, meas)) / (n - 1))
+    return 100.0 * rmse / mean
 
 
 def mbe(pred, meas) -> float:
     """Mean bias error, percent. Positive when the model underestimates."""
-    pred = np.asarray(pred, dtype=float)
-    meas = np.asarray(meas, dtype=float)
-    if pred.shape != meas.shape or pred.ndim != 1:
-        raise ShapeError(f"series shapes differ: {pred.shape} vs {meas.shape}")
-    total = float(np.sum(meas))
+    pred, meas = _paired(pred, meas)
+    total = sum(meas)
     if total == 0.0:
         raise MetricUndefinedError("MBE undefined: measured series sums to zero")
-    return float(100.0 * np.sum(meas - pred) / total)
+    return 100.0 * sum(map(sub, meas, pred)) / total
 
 
 def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
@@ -128,6 +134,8 @@ def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
     Solved through numpy's SVD-backed lstsq (no normal equations). The
     returned model's validity window is the sample TWB range.
     """
+    import numpy as np
+
     X = design_matrix(samples.plr, samples.twb)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         bad = _collinear_columns(X)
@@ -135,14 +143,15 @@ def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
             f"design matrix is rank deficient; collinear columns: {', '.join(bad)}",
             collinear_columns=bad)
 
-    coeffs, _, _, _ = np.linalg.lstsq(X, samples.cop, rcond=None)
+    cop = np.asarray(samples.cop)
+    coeffs, _, _, _ = np.linalg.lstsq(X, cop, rcond=None)
     pred = X @ coeffs
-    resid = samples.cop - pred
+    resid = cop - pred
 
     model = CopModel(
         c0=float(coeffs[0]), c1=float(coeffs[1]), c2=float(coeffs[2]),
         c3=float(coeffs[3]), c4=float(coeffs[4]), c5=float(coeffs[5]),
-        twb_min=float(np.min(samples.twb)), twb_max=float(np.max(samples.twb)),
+        twb_min=min(samples.twb), twb_max=max(samples.twb),
         cop_floor=cop_floor,
     )
     return FitReport(

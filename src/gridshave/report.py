@@ -6,14 +6,15 @@ float formatting) so that two identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
+from itertools import chain
 
-import numpy as np
-
-from .errors import ShapeError
+from .errors import ScenarioParseError, ShapeError
 from .plant import PlantConfig, fuel_savings
 from .run import DayResult
 from .scenario import Scenario
@@ -54,7 +55,7 @@ class RunReport:
     `day k:` summary lines; everything the CLI prints and writes."""
 
     timestamps: list[datetime]
-    table: dict[str, np.ndarray]    # keyed by REPORT_COLUMNS
+    table: dict[str, array]         # keyed by REPORT_COLUMNS
     plant: PlantConfig
     day_lines: list[str]
 
@@ -67,28 +68,31 @@ class RunReport:
         base, opt = self.table["baseline_mw"], self.table["optimized_mw"]
         savings = fuel_savings(base, opt, self.plant)
         thr, margin = self.plant.threshold, self.plant.peaking_margin_mw
-        peak_base, peak_opt = float(np.max(base)), float(np.max(opt))
+        peak_base, peak_opt = float(max(base)), float(max(opt))
         shaved = peak_base - peak_opt
-        above_base, above_opt = base > thr, opt > thr
         return {
             "hours": len(self.timestamps),
             "peak_baseline_mw": peak_base,
             "peak_optimized_mw": peak_opt,
-            "peak_no_storage_mw": float(np.max(self.table["no_storage_mw"])),
+            "peak_no_storage_mw": float(max(self.table["no_storage_mw"])),
             "peak_shaved_mw": shaved,
             "peak_shaved_pct": 100.0 * shaved / peak_base if peak_base > 0.0 else 0.0,
             "fuel_saved_mwh": savings.saved_mwh,
             "fuel_saved_pct_above_threshold": savings.percent,
             "fuel_saved_pct_total": savings.percent_of_total,
-            "peaking_hours_baseline": int(np.sum(above_base)),
-            "peaking_hours_optimized": int(np.sum(above_opt)),
-            "peaking_hours_eliminated": int(np.sum(above_base & ~above_opt)),
-            "near_threshold_hours": int(np.sum((opt >= thr - margin) & (opt <= thr))),
+            "peaking_hours_baseline": sum(g > thr for g in base),
+            "peaking_hours_optimized": sum(g > thr for g in opt),
+            "peaking_hours_eliminated": sum(b > thr and not o > thr for b, o in zip(base, opt)),
+            "near_threshold_hours": sum(thr - margin <= g <= thr for g in opt),
         }
 
     def summary_lines(self) -> list[str]:
         return [f"{name} = {self.metrics[name]:{fmt}}"
                 for name, fmt in _METRIC_FORMATS] + self.day_lines
+
+
+def _joined(series) -> array:
+    return array("d", chain.from_iterable(series))
 
 
 def build_report(scenario: Scenario, day_results: list[DayResult],
@@ -98,14 +102,14 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
         "q_cool_mw": scenario.q_cool,
         "q_steam_mw": scenario.q_s_c,
         "twb_c": scenario.twb,
-        "no_storage_mw": np.concatenate([d.target.no_storage for d in day_results]),
-        "baseline_mw": np.concatenate([d.heuristic_generation for d in day_results]),
-        "optimized_mw": np.concatenate([d.optimal.generation for d in day_results]),
-        "q_stor_mw": np.concatenate([d.optimal.schedule.q_stor for d in day_results]),
-        "e_stor_end_mwh": np.concatenate([d.optimal.schedule.e_stor[1:] for d in day_results]),
-        "p_ch_mw": np.concatenate([d.optimal.p_ch for d in day_results]),
+        "no_storage_mw": _joined(d.target.no_storage for d in day_results),
+        "baseline_mw": _joined(d.heuristic_generation for d in day_results),
+        "optimized_mw": _joined(d.optimal.generation for d in day_results),
+        "q_stor_mw": _joined(d.optimal.schedule.q_stor for d in day_results),
+        "e_stor_end_mwh": _joined(d.optimal.schedule.e_stor[1:] for d in day_results),
+        "p_ch_mw": _joined(d.optimal.p_ch for d in day_results),
     }
-    if table["baseline_mw"].shape[0] != len(scenario):
+    if len(table["baseline_mw"]) != len(scenario):
         raise ShapeError("day results do not cover the scenario")
     day_lines = [
         f"day {k}: objective = {d.optimal.objective:.4f} MW^2, "
@@ -116,7 +120,7 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
 
 
 def load_report_table(path: str) -> dict:
-    """Read a report CSV back into column arrays (keys match the header)."""
+    """Read a report CSV back into `array('d')` columns (keys match the header)."""
     return read_table(path, REPORT_HEADER, "report")[0]
 
 
@@ -142,9 +146,18 @@ def write_schedule_csv(report: RunReport, path: str) -> None:
                 [report.table["q_stor_mw"], report.table["e_stor_end_mwh"]], report.timestamps)
 
 
-def load_schedule_csv(path: str) -> np.ndarray:
-    """Hourly q_stor rates from a schedule CSV."""
-    return read_table(path, SCHEDULE_HEADER, "schedule")[0]["q_stor_mw"]
+def load_schedule_csv(path: str, timestamps: list[datetime]) -> array:
+    """Hourly q_stor rates from a schedule CSV whose rows are stamped with
+    `timestamps`, the hours of the scenario it is applied to. The first row
+    stamped otherwise raises ScenarioParseError naming it; a schedule of
+    another length is left to its caller."""
+    table = read_table(path, SCHEDULE_HEADER, "schedule")[0]
+    for row, (got, want) in enumerate(zip(table["timestamp"], timestamps), start=1):
+        if got != want:
+            raise ScenarioParseError(
+                f"{path}: row {row}: timestamp {got.isoformat()} differs from the "
+                f"scenario's {want.isoformat()}", row=row)
+    return table["q_stor_mw"]
 
 
 def write_summary(report: RunReport, path: str) -> None:
@@ -175,8 +188,8 @@ def write_profile_svg(report: RunReport, path: str) -> None:
     n = len(report.timestamps)
     threshold = report.plant.threshold
     series = {name: report.table[f"{name}_mw"] for name, _, _ in _SERIES_STYLE}
-    y_min = min(threshold, *(float(np.min(s)) for s in series.values())) - 2.0
-    y_max = max(threshold, *(float(np.max(s)) for s in series.values())) + 2.0
+    y_min = min(threshold, *(min(s) for s in series.values())) - 2.0
+    y_max = max(threshold, *(max(s) for s in series.values())) + 2.0
 
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
@@ -196,7 +209,7 @@ def write_profile_svg(report: RunReport, path: str) -> None:
     ]
 
     # horizontal gridlines every 5 MW
-    grid_lo = int(np.ceil(y_min / 5.0)) * 5
+    grid_lo = math.ceil(y_min / 5.0) * 5
     for level in range(grid_lo, int(y_max) + 1, 5):
         y = py(level)
         parts.append(

@@ -10,9 +10,9 @@ and is flagged.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from operator import sub
 
 from .cooling import CopModel, StorageSchedule, TesConfig, check_schedule
 from .errors import InfeasibleScheduleError, ShapeError
@@ -33,7 +33,7 @@ from .scenario import HOURS_PER_DAY, Scenario, no_storage_baseline, split_days
 class DayTarget:
     """Where a day's flat target came from: the day's no-storage generation
     and whether the target is the mean of this day's or the previous day's."""
-    no_storage: np.ndarray
+    no_storage: array
     mode: str               # "previous-day" or "same-day"
 
 
@@ -45,7 +45,7 @@ class DayResult:
     problem: ScheduleProblem
     target: DayTarget
     optimal: OptimalSchedule
-    heuristic_generation: np.ndarray
+    heuristic_generation: array
 
 
 def build_problems(scenario: Scenario,
@@ -58,7 +58,7 @@ def build_problems(scenario: Scenario,
         raise ValueError(f"unknown p_mean mode {p_mean_mode!r}")
     days = split_days(scenario)
     no_storage = [no_storage_baseline(day, cop_model, plant, tes) for day in days]
-    day_means = [float(np.mean(g)) for g in no_storage]
+    day_means = [sum(g) / len(g) for g in no_storage]
 
     problems = []
     for k, day in enumerate(days):
@@ -96,7 +96,7 @@ def run_days(scenario: Scenario,
 
 
 def evaluate_fixed_schedule(scenario: Scenario,
-                            q_stor: np.ndarray,
+                            q_stor,
                             plant: PlantConfig,
                             cop_model: CopModel,
                             tes: TesConfig,
@@ -106,10 +106,10 @@ def evaluate_fixed_schedule(scenario: Scenario,
     Raises InfeasibleScheduleError, naming the day, when the schedule breaks
     a rate, tank or terminal-state limit.
     """
-    q = np.asarray(q_stor, dtype=float)
-    if q.shape != (len(scenario),):
+    q = array("d", q_stor)
+    if len(q) != len(scenario):
         raise ShapeError(
-            f"schedule length {q.shape} does not match scenario length {len(scenario)}")
+            f"schedule length {len(q)} does not match scenario length {len(scenario)}")
     problems = build_problems(scenario, plant, cop_model, tes, p_mean_mode)
     fixed = []
     for k, (problem, _) in enumerate(problems):
@@ -123,7 +123,7 @@ def evaluate_fixed_schedule(scenario: Scenario,
         generation = generation_profile(day_q, problem)
         fixed.append(OptimalSchedule(
             schedule=schedule, objective=flatness(generation, problem.p_mean),
-            p_ch=generation - problem.p_base, generation=generation,
+            p_ch=array("d", map(sub, generation, problem.p_base)), generation=generation,
             iterations=0, converged=True, message="fixed schedule",
             heuristic=operator_heuristic(problem),
         ))

@@ -10,7 +10,9 @@ with repr so load(write(s)) == s exactly.
 
 Synthetic days take their levels and amplitudes from SynthParams and their
 shape from the module constants PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR,
-STEAM_BASE_MW, STEAM_AMP_MW and DAY_SCALE.
+STEAM_BASE_MW, STEAM_AMP_MW and DAY_SCALE; their noise is drawn from numpy's
+PCG64 stream, so `generate_synthetic` is the one function here that loads
+numpy. Hourly series are `array('d')`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -45,38 +46,27 @@ HOURS_PER_DAY = 24
 
 @dataclass
 class Scenario:
-    """Exogenous hourly inputs for a simulation horizon."""
+    """Exogenous hourly inputs for a simulation horizon; the series are
+    stored as `array('d')` copies of the given ones."""
 
     timestamps: list[datetime]
-    p_base: np.ndarray
-    q_cool: np.ndarray
-    q_s_c: np.ndarray
-    twb: np.ndarray
+    p_base: array
+    q_cool: array
+    q_s_c: array
+    twb: array
     name: str = "scenario"
     source: str = "file"
     seed: int | None = None
 
     def __post_init__(self):
-        for attr in ("p_base", "q_cool", "q_s_c", "twb"):
-            setattr(self, attr, np.asarray(getattr(self, attr), dtype=float))
         n = len(self.timestamps)
         for attr in ("p_base", "q_cool", "q_s_c", "twb"):
-            if getattr(self, attr).shape != (n,):
+            setattr(self, attr, array("d", getattr(self, attr)))
+            if len(getattr(self, attr)) != n:
                 raise ShapeError(f"{attr} length differs from timestamps ({n})")
 
     def __len__(self):
         return len(self.timestamps)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (self.name == other.name and self.source == other.source
-                and self.seed == other.seed
-                and self.timestamps == other.timestamps
-                and np.array_equal(self.p_base, other.p_base)
-                and np.array_equal(self.q_cool, other.q_cool)
-                and np.array_equal(self.q_s_c, other.q_s_c)
-                and np.array_equal(self.twb, other.twb))
 
     def slice_hours(self, start: int, stop: int) -> "Scenario":
         return Scenario(
@@ -108,7 +98,7 @@ def load_scenario(path: str) -> Scenario:
     for i, ts in enumerate(timestamps):
         row_no = i + 1
         for column in ("p_base_mw", "q_cool_mw", "q_steam_mw"):
-            value = float(table[column][i])
+            value = table[column][i]
             if value < 0.0:
                 raise ScenarioParseError(
                     f"{path}: row {row_no}: {column} = {value} is negative", row=row_no)
@@ -136,9 +126,9 @@ def load_scenario(path: str) -> Scenario:
     log.info(
         "loaded %s: %d hourly rows, p_base %.1f-%.1f MW, q_cool %.1f-%.1f MW, "
         "twb %.1f-%.1f C", path, len(scenario),
-        scenario.p_base.min(), scenario.p_base.max(),
-        scenario.q_cool.min(), scenario.q_cool.max(),
-        scenario.twb.min(), scenario.twb.max())
+        min(scenario.p_base), max(scenario.p_base),
+        min(scenario.q_cool), max(scenario.q_cool),
+        min(scenario.twb), max(scenario.twb))
     return scenario
 
 
@@ -169,7 +159,8 @@ class SynthParams:
     The defaults are tuned so that with the default plant, COP model and
     storage configs the no-storage generation peaks in the mid-60s MW on the
     hottest day, with a mild overnight valley. `days` below 1 and a nan or
-    infinite float field raise SynthesisError naming the field.
+    infinite float field, and a negative `base_level_mw` or `noise_mw`,
+    raise SynthesisError naming the field.
     """
 
     days: int = 3
@@ -188,6 +179,9 @@ class SynthParams:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise SynthesisError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("base_level_mw", "noise_mw"):
+            if getattr(self, name) < 0.0:
+                raise SynthesisError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Scenario:
@@ -195,8 +189,11 @@ def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Sc
 
     Raises SynthesisError when the implied no-storage generation under the
     default plant, COP model and storage would exceed the plant's total
-    capacity or the chiller capacity at any hour.
+    capacity or the chiller capacity at any hour. It loads numpy for the
+    seeded PCG64 normal stream.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     hours = np.arange(HOURS_PER_DAY, dtype=float)
     bell = np.exp(-0.5 * ((hours - PEAK_HOUR) / PEAK_WIDTH_H) ** 2)
@@ -222,10 +219,10 @@ def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Sc
                   for i in range(params.days * HOURS_PER_DAY)]
     scenario = Scenario(
         timestamps=timestamps,
-        p_base=np.concatenate(p_base_parts),
-        q_cool=np.concatenate(q_cool_parts),
-        q_s_c=np.tile(steam, params.days),
-        twb=np.concatenate(twb_parts),
+        p_base=np.concatenate(p_base_parts).tolist(),
+        q_cool=np.concatenate(q_cool_parts).tolist(),
+        q_s_c=np.tile(steam, params.days).tolist(),
+        twb=np.concatenate(twb_parts).tolist(),
         name=f"synthetic-{seed}",
         source="synthetic",
         seed=seed,
@@ -235,9 +232,9 @@ def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Sc
         g = no_storage_baseline(scenario)
     except (ChillerCapacityError, DegenerateCopError, InfeasibleDemandError) as exc:
         raise SynthesisError(f"synthetic parameters are infeasible: {exc}") from exc
-    if float(np.max(g)) > DEFAULT_PLANT.cap_total:
+    if max(g) > DEFAULT_PLANT.cap_total:
         raise SynthesisError(
-            f"synthetic parameters imply a no-storage peak of {np.max(g):.1f} MW, "
+            f"synthetic parameters imply a no-storage peak of {max(g):.1f} MW, "
             f"above total plant capacity {DEFAULT_PLANT.cap_total} MW")
     return scenario
 
@@ -245,7 +242,7 @@ def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Sc
 def no_storage_baseline(scenario: Scenario,
                         cop_model: CopModel = DEFAULT_COP_MODEL,
                         plant: PlantConfig = DEFAULT_PLANT,
-                        tes: TesConfig = DEFAULT_TES) -> np.ndarray:
+                        tes: TesConfig = DEFAULT_TES) -> array:
     """Generation profile with the tank idle: G(t) = p_base + chiller_power(q_cool, twb).
 
     The first hour at fault raises: the error `chiller_power` gives for it,
@@ -254,17 +251,18 @@ def no_storage_baseline(scenario: Scenario,
     q, twb = scenario.q_cool, scenario.twb
     chiller_fault = None
     try:
-        g = scenario.p_base + chiller_power(q, twb, cop_model, tes)
+        p_ch = chiller_power(q, twb, cop_model, tes)
     except GridShaveError as exc:
         # the hours before the chiller fault may exceed the capacity first
         chiller_fault, t = exc, exc.hour
-        g = scenario.p_base[:t] + chiller_power(q[:t], twb[:t], cop_model, tes)
-    bad = np.flatnonzero(g > plant.cap_total + 1e-9)
-    if bad.size:
-        t = int(bad[0])
-        raise InfeasibleDemandError(
-            f"hour {t}: no-storage generation {g[t]:.2f} MW exceeds total "
-            f"capacity {plant.cap_total} MW")
+        p_ch = chiller_power(q[:t], twb[:t], cop_model, tes)
+    g = array("d")
+    for t, (p, c) in enumerate(zip(scenario.p_base, p_ch)):
+        g.append(p + c)
+        if g[t] > plant.cap_total + 1e-9:
+            raise InfeasibleDemandError(
+                f"hour {t}: no-storage generation {g[t]:.2f} MW exceeds total "
+                f"capacity {plant.cap_total} MW")
     if chiller_fault is not None:
         raise chiller_fault
     return g

@@ -4,17 +4,16 @@ report and COP samples).
 A table file holds an exact header line and one row per line. Blank lines
 are skipped and `# key: value` comment lines are collected as metadata. A
 first column named `timestamp` holds ISO-8601 timestamps; every other cell
-is a finite float. Every error is a ScenarioParseError that carries the
-1-based data row.
+is a finite float, and every other column an `array('d')`. Every error is a
+ScenarioParseError that carries the 1-based data row.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from datetime import datetime
-
-import numpy as np
 
 from .errors import ScenarioParseError
 
@@ -23,7 +22,7 @@ def read_table(path: str, header: str, what: str) -> tuple[dict, dict[str, str]]
     """Read a table into ({column: values}, {metadata key: value}).
 
     The timestamp column, if any, is a list of datetimes; every other column
-    is a float array. `what` names the table in the file-not-found error.
+    is an `array('d')`. `what` names the table in the file-not-found error.
     """
     if not os.path.exists(path):
         raise ScenarioParseError(f"{what} file not found: {path}")
@@ -46,7 +45,8 @@ def read_table(path: str, header: str, what: str) -> tuple[dict, dict[str, str]]
 
     names = header.split(",")
     stamped = names[0] == "timestamp"
-    columns: dict = {name: [] for name in names}
+    columns: dict = {name: [] if stamped and name == names[0] else array("d")
+                     for name in names}
     for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(names):
@@ -69,19 +69,18 @@ def read_table(path: str, header: str, what: str) -> tuple[dict, dict[str, str]]
                 raise ScenarioParseError(
                     f"{path}: row {row}: {name} = {value} is not finite", row=row)
             columns[name].append(value)
-    for name in names[stamped:]:
-        columns[name] = np.array(columns[name])
     return columns, meta
 
 
 def write_table(path: str, header: str, columns, timestamps=None, fmt=repr,
                 meta: dict | None = None) -> None:
     """Write `# key: value` metadata lines, the header, then one row per
-    entry of the float columns, each cell formatted by `fmt` and preceded by
-    the row's ISO-8601 timestamp when `timestamps` is given."""
+    entry of the equal-length float columns, each cell formatted by `fmt`
+    and preceded by the row's ISO-8601 timestamp when `timestamps` is given."""
     lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
     lines.append(header)
-    rows = [[fmt(v) for v in row] for row in np.column_stack(columns).tolist()]
+    rows = [[fmt(v) for v in row]
+            for row in zip(*(array("d", c) for c in columns), strict=True)]
     if timestamps is not None:
         rows = [[t.isoformat(), *cells] for t, cells in zip(timestamps, rows)]
     lines += [",".join(cells) for cells in rows]

@@ -41,7 +41,7 @@ def test_criterion_1_cop_polynomial_fidelity():
 def test_criterion_3_gradient_check(first_day_problem):
     """Analytic gradient matches central differences to 1e-5 at 100 points."""
     p = first_day_problem
-    lo, hi = hour_bounds(p)
+    lo, hi = (np.asarray(v) for v in hour_bounds(p))
     rng = np.random.default_rng(333)
     h = 1e-4
     worst = 0.0

@@ -84,8 +84,8 @@ def _tes(draw):
 #: Valid instances of each config class.
 VALID = {
     PlantConfig: _plant(),
-    CopModel: st.builds(CopModel, **{name: _finite for name in (
-        "c0", "c1", "c2", "c3", "c4", "c5", "twb_min", "twb_max", "cop_floor")}),
+    CopModel: st.builds(CopModel, cop_floor=_positive, **{name: _finite for name in (
+        "c0", "c1", "c2", "c3", "c4", "c5", "twb_min", "twb_max")}),
     TesConfig: _tes(),
     SolverOptions: st.builds(SolverOptions, max_iterations=st.integers(1, 10 ** 9),
                              feasibility_tol=_positive, optimality_tol=_positive),

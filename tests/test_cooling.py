@@ -41,6 +41,18 @@ def test_cop_model_rejects_non_finite_field(field, value):
         CopModel(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -0.0, -1e3])
+def test_cop_model_rejects_non_positive_floor(tmp_path, value):
+    message = f"^cop_floor must be positive, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        CopModel(cop_floor=value)
+    path = tmp_path / "cop.cfg"
+    path.write_text(f"c0 = 11.87\nc1 = -8.84\nc2 = -0.17\nc3 = -6.89\nc4 = 0.75\n"
+                    f"c5 = -0.01\ntwb_min = 10.0\ntwb_max = 30.0\ncop_floor = {value!r}\n")
+    with pytest.raises(ValueError, match=message):
+        CopModel.load(str(path))
+
+
 def test_default_tes_values():
     t = TesConfig()
     assert t.e_max == t.e_initial == t.e_terminal == 175.6
@@ -239,8 +251,8 @@ def test_check_schedule_non_finite_stored_energy(tes):
 def _reference_check_schedule(schedule, tes, tol=1e-6):
     """Per-kind scan of every limit, without `check_schedule`'s vectorized
     all-clear test: the reference that test must agree with."""
-    q = schedule.q_stor
-    e = schedule.e_stor
+    q = np.asarray(schedule.q_stor)
+    e = np.asarray(schedule.e_stor)
     bad = np.flatnonzero(~np.isfinite(q))
     if bad.size:
         return [Violation("non_finite", int(i), float(q[i]), tes.rate_max) for i in bad]

@@ -120,7 +120,7 @@ def test_gradient_zero_at_flat_optimum():
 
 def test_gradient_matches_central_differences(first_day_problem):
     p = first_day_problem
-    lo, hi = hour_bounds(p)
+    lo, hi = (np.asarray(v) for v in hour_bounds(p))
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(20):
@@ -141,7 +141,7 @@ def test_gradient_sign_follows_deviation(first_day_problem):
     # dp_ch/dq_ch > 0 on the summer domain, so each component's sign matches
     # the sign of (G - p_mean)
     p = first_day_problem
-    g = generation_profile(np.zeros(24), p)
+    g = np.asarray(generation_profile(np.zeros(24), p))
     grad = gradient(np.zeros(24), p)
     mask = np.abs(g - p.p_mean) > 1e-9
     assert np.all(np.sign(grad[mask]) == np.sign((g - p.p_mean)[mask]))
@@ -153,7 +153,7 @@ def test_hessian_diagonal_matches_central_differences(first_day_problem, cop_mod
     # every column of the finite-difference Jacobian of the gradient: the
     # diagonal must match and the off-diagonal entries must vanish
     p = replace(first_day_problem, cop_model=cop_model)
-    lo, hi = hour_bounds(p)
+    lo, hi = (np.asarray(v) for v in hour_bounds(p))
     rng = np.random.default_rng(334)
     h = 1e-4
     worst = 0.0
@@ -290,18 +290,19 @@ def test_hour_bounds_contain_zero_when_zero_storage_admissible(q_cool, twb, rate
     problem = ScheduleProblem(
         p_base=np.full(4, 30.0), q_cool=np.array(q_cool),
         twb=np.array(twb), p_mean=40.0, tes=tes, cop_model=model)
-    margin = cop_values(problem.q_cool / tes.q_ch_max, problem.twb, model) - cop_floor
+    q_cool, twb = np.asarray(problem.q_cool), np.asarray(problem.twb)
+    margin = cop_values(q_cool / tes.q_ch_max, twb, model) - cop_floor
     assume(np.all(np.abs(margin) > 1e-9))
     bad = np.flatnonzero(margin < 0.0)
     if bad.size:
         with pytest.raises(InfeasibleStartError, match=f"hour {bad[0]}:"):
             hour_bounds(problem)
     else:
-        lo, hi = hour_bounds(problem)
+        lo, hi = (np.asarray(v) for v in hour_bounds(problem))
         assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
         for edge in (lo, hi):   # the COP floor holds up to the box edges
-            plr = (problem.q_cool + edge) / tes.q_ch_max
-            assert np.all(cop_values(plr, problem.twb, model) >= cop_floor - 1e-9)
+            plr = (q_cool + edge) / tes.q_ch_max
+            assert np.all(cop_values(plr, twb, model) >= cop_floor - 1e-9)
 
 
 def _reference_plr_interval(twb: float, m: CopModel, plr_ref: float) -> tuple[float, float]:
@@ -429,7 +430,7 @@ def test_solve_hour_with_equal_bounds_stays_at_start(first_day_problem, monkeypa
 
     def pinned(problem):
         lo, hi = real(problem)
-        lo, hi = lo.copy(), hi.copy()
+        lo, hi = np.array(lo), np.array(hi)
         lo[15] = hi[15] = 0.0
         return lo, hi
 
@@ -452,7 +453,7 @@ def test_solve_all_hours_fixed_takes_no_step():
 
 def test_solve_non_convex_cop_surface_returns_feasible_schedule(first_day_problem):
     p = replace(first_day_problem, cop_model=NON_CONVEX_COP)
-    lo, hi = hour_bounds(p)
+    lo, hi = (np.asarray(v) for v in hour_bounds(p))
     curvature = min(float(np.min(hessian_diagonal(lo + f * (hi - lo), p)))
                     for f in np.linspace(0.05, 0.95, 19))
     assert curvature < -1.0   # the hourly cost really is non-convex
@@ -594,7 +595,7 @@ def test_heuristic_feasible_by_construction(first_day_problem):
 
 def test_heuristic_full_tank_discharges_afternoon_refills_evening(first_day_problem):
     heur = operator_heuristic(first_day_problem)
-    q = heur.q_stor
+    q = np.asarray(heur.q_stor)
     assert np.all(q[0:6] == 0.0)           # tank already full at midnight
     assert np.all(q[13:20] < 0.0)          # afternoon discharge
     assert np.all(q[13:20] == q[13])       # even discharge
@@ -650,7 +651,7 @@ def test_schedule_problem_validation():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["p_base", "q_cool", "twb"])
 def test_schedule_problem_rejects_non_finite_series(first_day_problem, name, value):
-    series = getattr(first_day_problem, name).copy()
+    series = np.array(getattr(first_day_problem, name))
     series[5] = value
     with pytest.raises(ValueError, match=f"^hour 5: {name} is "):
         replace(first_day_problem, **{name: series})
@@ -658,7 +659,7 @@ def test_schedule_problem_rejects_non_finite_series(first_day_problem, name, val
 
 @pytest.mark.parametrize("value", [31.0, 9.5])
 def test_schedule_problem_rejects_wet_bulb_outside_cop_window(first_day_problem, value):
-    twb = first_day_problem.twb.copy()
+    twb = np.array(first_day_problem.twb)
     twb[5] = value
     with pytest.raises(CopDomainError, match="^hour 5: twb=") as got:
         replace(first_day_problem, twb=twb)
@@ -743,6 +744,36 @@ def test_import_and_optimize_load_no_scipy(tmp_path):
                 if line.startswith("import time:")]
     assert "gridshave.optimizer" in imported
     assert [m for m in imported if m.startswith("scipy")] == []
+
+
+def test_only_optimize_loads_numpy(tmp_path):
+    # numpy is imported by the Newton loop only: importing the package and
+    # the CLI, and every command that solves nothing, leaves it unloaded
+    src = os.path.dirname(os.path.dirname(gridshave.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, gridshave, gridshave.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+    scenario_path = str(tmp_path / "day.csv")
+    write_scenario(generate_synthetic(seed=1), scenario_path)
+    run_dir = str(tmp_path / "run")
+    commands = {
+        "optimize": ["--scenario", scenario_path, "--out", run_dir],
+        "simulate": ["--scenario", scenario_path, "--out", str(tmp_path / "sim"),
+                     "--schedule", os.path.join(run_dir, "schedule.csv")],
+        "report": ["--run", run_dir],
+    }
+    loads_numpy = {}
+    for command, flags in commands.items():
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "gridshave", command,
+                              *flags], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")]
+        loads_numpy[command] = "numpy" in imported
+    assert loads_numpy == {"optimize": True, "simulate": False, "report": False}
 
 
 def test_import_leaves_process_pool_modules_unloaded():

@@ -52,7 +52,7 @@ def test_report_peak_metrics_consistent(run_report):
 
 
 def test_report_identical_profiles_zero_metrics(run_report):
-    table = dict(run_report.table, optimized_mw=run_report.table["baseline_mw"].copy())
+    table = dict(run_report.table, optimized_mw=np.array(run_report.table["baseline_mw"]))
     flat = RunReport(run_report.timestamps, table, DEFAULT_PLANT, []).metrics
     assert flat["peak_shaved_mw"] == 0.0
     assert flat["fuel_saved_mwh"] == 0.0
@@ -77,8 +77,8 @@ def test_report_metrics_recomputable_from_emitted_csv(tmp_path, run_report):
         m["peak_baseline_mw"], abs=1e-6)
     assert float(np.max(table["optimized_mw"])) == pytest.approx(
         m["peak_optimized_mw"], abs=1e-6)
-    above_base = table["baseline_mw"] > run_report.plant.threshold
-    above_opt = table["optimized_mw"] > run_report.plant.threshold
+    above_base = np.asarray(table["baseline_mw"]) > run_report.plant.threshold
+    above_opt = np.asarray(table["optimized_mw"]) > run_report.plant.threshold
     assert int(np.sum(above_base & ~above_opt)) == m["peaking_hours_eliminated"]
 
 
@@ -93,7 +93,7 @@ def test_report_rebuild_from_run_dir(tmp_path, run_report):
 
 def test_schedule_csv_round_trip(tmp_path, run_report):
     paths = write_run_outputs(run_report, str(tmp_path / "run"))
-    rates = load_schedule_csv(paths["schedule"])
+    rates = load_schedule_csv(paths["schedule"], run_report.timestamps)
     assert np.array_equal(rates, run_report.table["q_stor_mw"])
 
 
@@ -408,6 +408,27 @@ def test_cli_simulate_infeasible_schedule_exits_1(tmp_path, capsys):
     assert "day 0: fixed schedule infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hours, row, stamped", [
+    ("a month later", 1, "2023-07-12T00:00:00"),
+    ("with days 1 and 2 swapped", 25, "2023-06-14T00:00:00"),
+])
+def test_cli_simulate_rejects_a_schedule_for_other_hours(default_run, capsys, hours, row,
+                                                         stamped):
+    header, *rows = (default_run / "schedule.csv").read_text().splitlines()
+    if hours == "a month later":
+        rows = [r.replace("2023-06-", "2023-07-") for r in rows]
+    else:
+        rows = rows[:24] + rows[48:] + rows[24:48]
+    schedule = default_run / "other.csv"
+    schedule.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["simulate", "--scenario", str(default_run.parent / "scenario.csv"),
+                     "--schedule", str(schedule), "--out", str(default_run / "sim")]) == 1
+    assert f"row {row}: timestamp {stamped} differs from the scenario's" in \
+        capsys.readouterr().err
+    assert not (default_run / "sim").exists()
+
+
 def test_cli_simulate_non_finite_rate_exits_1(tmp_path, capsys):
     scenario_path = str(tmp_path / "day.csv")
     schedule = tmp_path / "schedule.csv"
@@ -479,6 +500,11 @@ _NEGATIVE_SPELLINGS = [
     ("synth", ["--base-mw", "-inf"], "base_level_mw must be finite, got -inf"),
     ("synth", ["--cool-peak-mw", "-Infinity"], "cool_peak_amp_mw must be finite, got -inf"),
     ("synth", ["--days", "-1e3"], "argument --days: invalid int value: '-1e3'"),
+    ("fit", ["--cop-floor", "-1e3"], "cop_floor must be positive, got -1000.0"),
+    ("fit", ["--cop-floor", "-0.0"], "cop_floor must be positive, got -0.0"),
+    ("fit", ["--cop-floor", "0"], "cop_floor must be positive, got 0.0"),
+    ("synth", ["--base-mw", "-1e3"], "base_level_mw must be non-negative, got -1000.0"),
+    ("synth", ["--noise-mw", "-.5E+1"], "noise_mw must be non-negative, got -5.0"),
     ("synth", ["--days", "-2"], "days must be at least 1, got -2"),
 ]
 

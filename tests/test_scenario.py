@@ -117,7 +117,8 @@ def test_load_non_numeric_cell(tmp_path):
 _NON_FINITE_TABLES = {
     **{c: (SCENARIO_HEADER, load_scenario)
        for c in ("p_base_mw", "q_cool_mw", "q_steam_mw", "twb_c")},
-    "q_stor_mw": (SCHEDULE_HEADER, load_schedule_csv),
+    "q_stor_mw": (SCHEDULE_HEADER, lambda path: load_schedule_csv(
+        path, [datetime(2023, 9, 10, hour) for hour in (0, 1)])),
     "baseline_mw": (REPORT_HEADER, load_report_table),
     "cop": (SAMPLES_HEADER, load_samples),
 }
@@ -195,6 +196,12 @@ _SYNTH_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SynthParams) if f.type
 def test_synth_params_reject_non_finite_field(name, value):
     with pytest.raises(SynthesisError, match=f"^{name} must be finite, got {value}$"):
         SynthParams(days=1, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["base_level_mw", "noise_mw"])
+def test_synth_params_reject_negative_level(name):
+    with pytest.raises(SynthesisError, match=f"^{name} must be non-negative, got -5.0$"):
+        SynthParams(days=1, **{name: -5.0})
 
 
 def test_synthetic_embeds_seed(synth_scenario):

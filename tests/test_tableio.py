@@ -29,6 +29,7 @@ def _columns(n_min, *elements):
 
 
 def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -72,14 +73,15 @@ def test_schedule_round_trip_bit_exact(cols):
     q_stor, e_stor_end = cols
     report = SimpleNamespace(timestamps=_hours(len(q_stor)),
                              table={"q_stor_mw": q_stor, "e_stor_end_mwh": e_stor_end})
-    loaded = _round_trip(lambda p: write_schedule_csv(report, p), load_schedule_csv)
+    loaded = _round_trip(lambda p: write_schedule_csv(report, p),
+                         lambda p: load_schedule_csv(p, report.timestamps))
     assert _bits_equal(loaded, q_stor)
 
 
 #: header -> loader of every table the package reads
 _TABLES = {
     SCENARIO_HEADER: load_scenario,
-    SCHEDULE_HEADER: load_schedule_csv,
+    SCHEDULE_HEADER: lambda path: load_schedule_csv(path, _hours(30)),
     REPORT_HEADER: load_report_table,
     SAMPLES_HEADER: load_samples,
 }

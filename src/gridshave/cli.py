@@ -147,9 +147,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_simulate(args) -> int:
     plant, cop_model, tes, _ = _load_configs(args)
     scenario = load_scenario(args.scenario)
-    q_stor = load_schedule_csv(args.schedule, scenario.timestamps)
+    q_stor, e_stor_end = load_schedule_csv(args.schedule, scenario.timestamps)
     results = evaluate_fixed_schedule(scenario, q_stor, plant, cop_model, tes,
-                                      p_mean_mode=args.p_mean_mode)
+                                      p_mean_mode=args.p_mean_mode, e_stor_end=e_stor_end)
     report = build_report(scenario, results, plant)
     paths = write_run_outputs(report, args.out)
     for line in report.summary_lines():

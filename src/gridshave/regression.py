@@ -4,19 +4,19 @@ The basis is fixed to the six quadratic terms {1, plr, twb, plr^2, twb*plr,
 twb^2}. CVRMSE and MBE follow the building-simulation calibration convention:
 CVRMSE uses the (n-1) denominator, and MBE is signed so that a model that
 underestimates the measurement comes out positive. Samples are `array('d')`
-series; the fit itself (`design_matrix`, `fit_cop_model`) loads numpy for its
-SVD-backed least squares.
+series, and the least squares is one Householder QR in plain Python.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import sub
+from operator import mul, sub
 
-from .cooling import CopModel
+from .cooling import CopModel, cop_values
 from .errors import MetricUndefinedError, ShapeError, SingularFitError
 from .tableio import read_table, write_table
 
@@ -74,29 +74,57 @@ class FitReport:
         ])
 
 
-def design_matrix(plr, twb):
-    """The six basis columns at the samples, as a numpy matrix."""
-    import numpy as np
-
-    plr = np.asarray(plr, dtype=float)
-    twb = np.asarray(twb, dtype=float)
-    return np.column_stack([
-        np.ones_like(plr), plr, twb, plr * plr, twb * plr, twb * twb,
-    ])
+def design_matrix(plr, twb) -> list[list[float]]:
+    """The six basis columns at the samples, each a list of floats."""
+    plr, twb = list(plr), list(twb)
+    return [[1.0] * len(plr), plr, twb, [p * p for p in plr],
+            [w * p for p, w in zip(plr, twb)], [w * w for w in twb]]
 
 
-def _collinear_columns(X) -> list[str]:
-    """Names of basis columns that add no rank (greedy, left to right)."""
-    import numpy as np
+def _norm(values) -> float:
+    return math.sqrt(math.fsum(v * v for v in values))
 
+
+def _least_squares(columns, y) -> tuple[list[float], float]:
+    """Coefficients and residual norm of the least-squares fit of y on the
+    basis columns, from one Householder QR without pivoting (no normal
+    equations).
+
+    A column whose part orthogonal to the columns before it has a norm at or
+    under max(n, 6) eps ||X||_F, the matrix_rank tolerance, adds no rank;
+    SingularFitError then names every such column, left to right.
+    """
+    cols, y = [list(c) for c in columns], list(y)
+    tol = max(len(y), len(cols)) * sys.float_info.epsilon * _norm(chain.from_iterable(cols))
     bad = []
-    rank = 0
-    for j in range(X.shape[1]):
-        new_rank = np.linalg.matrix_rank(X[:, : j + 1])
-        if new_rank == rank:
+    r = 0       # rows reduced so far: the rank of the columns before this one
+    for j, col in enumerate(cols):
+        norm = _norm(col[r:])
+        if norm <= tol:
             bad.append(BASIS_NAMES[j])
-        rank = new_rank
-    return bad
+            continue
+        # reflect col[r:] onto -sign(col[r]) norm e_1 with I - 2 u u^T / (u^T u)
+        alpha = -math.copysign(norm, col[r])
+        u = col[r:]
+        u[0] -= alpha
+        scale = 2.0 / math.fsum(v * v for v in u)
+        for other in [*cols[j + 1:], y]:
+            s = scale * math.fsum(map(mul, u, other[r:]))
+            other[r:] = [o - s * v for o, v in zip(other[r:], u)]
+        col[r] = alpha
+        r += 1
+    if bad:
+        raise SingularFitError(
+            f"design matrix is rank deficient; collinear columns: {', '.join(bad)}",
+            collinear_columns=bad)
+
+    # R[i][k] = cols[k][i] for i <= k; back substitution on R x = (Q^T y)[:6]
+    n_coef = len(cols)
+    x = [0.0] * n_coef
+    for i in reversed(range(n_coef)):
+        x[i] = (y[i] - math.fsum(cols[k][i] * x[k] for k in range(i + 1, n_coef))) \
+            / cols[i][i]
+    return x, _norm(y[n_coef:])
 
 
 def _paired(pred, meas) -> tuple[array, array]:
@@ -131,35 +159,21 @@ def mbe(pred, meas) -> float:
 def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
     """Least-squares fit of the six-term COP surface.
 
-    Solved through numpy's SVD-backed lstsq (no normal equations). The
-    returned model's validity window is the sample TWB range.
+    Solved by one Householder QR of the design matrix (no normal equations);
+    raises SingularFitError naming the collinear basis columns. The returned
+    model's validity window is the sample TWB range.
     """
-    import numpy as np
-
-    X = design_matrix(samples.plr, samples.twb)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        bad = _collinear_columns(X)
-        raise SingularFitError(
-            f"design matrix is rank deficient; collinear columns: {', '.join(bad)}",
-            collinear_columns=bad)
-
-    cop = np.asarray(samples.cop)
-    coeffs, _, _, _ = np.linalg.lstsq(X, cop, rcond=None)
-    pred = X @ coeffs
-    resid = cop - pred
-
+    coeffs, residual_norm = _least_squares(design_matrix(samples.plr, samples.twb),
+                                           samples.cop)
     model = CopModel(
-        c0=float(coeffs[0]), c1=float(coeffs[1]), c2=float(coeffs[2]),
-        c3=float(coeffs[3]), c4=float(coeffs[4]), c5=float(coeffs[5]),
-        twb_min=min(samples.twb), twb_max=max(samples.twb),
-        cop_floor=cop_floor,
-    )
+        *coeffs, twb_min=min(samples.twb), twb_max=max(samples.twb), cop_floor=cop_floor)
+    pred = [cop_values(p, w, model) for p, w in zip(samples.plr, samples.twb)]
     return FitReport(
         model=model,
         cvrmse=cvrmse(pred, samples.cop),
         mbe=mbe(pred, samples.cop),
         n=len(samples),
-        residual_norm=float(np.linalg.norm(resid)),
+        residual_norm=residual_norm,
     )
 
 

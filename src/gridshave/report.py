@@ -146,18 +146,19 @@ def write_schedule_csv(report: RunReport, path: str) -> None:
                 [report.table["q_stor_mw"], report.table["e_stor_end_mwh"]], report.timestamps)
 
 
-def load_schedule_csv(path: str, timestamps: list[datetime]) -> array:
-    """Hourly q_stor rates from a schedule CSV whose rows are stamped with
-    `timestamps`, the hours of the scenario it is applied to. The first row
-    stamped otherwise raises ScenarioParseError naming it; a schedule of
-    another length is left to its caller."""
+def load_schedule_csv(path: str, timestamps: list[datetime]) -> tuple[array, array]:
+    """The hourly rates q_stor and the stored energy after each hour from a
+    schedule CSV whose rows are stamped with `timestamps`, the hours of the
+    scenario it is applied to. The first row stamped otherwise raises
+    ScenarioParseError naming it; a schedule of another length is left to its
+    caller."""
     table = read_table(path, SCHEDULE_HEADER, "schedule")[0]
     for row, (got, want) in enumerate(zip(table["timestamp"], timestamps), start=1):
         if got != want:
             raise ScenarioParseError(
                 f"{path}: row {row}: timestamp {got.isoformat()} differs from the "
                 f"scenario's {want.isoformat()}", row=row)
-    return table["q_stor_mw"]
+    return table["q_stor_mw"], table["e_stor_end_mwh"]
 
 
 def write_summary(report: RunReport, path: str) -> None:

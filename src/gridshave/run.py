@@ -100,22 +100,32 @@ def evaluate_fixed_schedule(scenario: Scenario,
                             plant: PlantConfig,
                             cop_model: CopModel,
                             tes: TesConfig,
-                            p_mean_mode: str = "previous-day") -> list[DayResult]:
+                            p_mean_mode: str = "previous-day",
+                            e_stor_end=None) -> list[DayResult]:
     """Like run_days but with a given schedule instead of an optimized one.
 
+    `e_stor_end`, if given, is the stored energy after each hour as the
+    schedule states it; the limits are then checked on it, so a stated
+    trajectory off the recursion of the rates is a `trajectory` violation.
     Raises InfeasibleScheduleError, naming the day, when the schedule breaks
-    a rate, tank or terminal-state limit.
+    a trajectory, rate, tank or terminal-state limit.
     """
     q = array("d", q_stor)
     if len(q) != len(scenario):
         raise ShapeError(
             f"schedule length {len(q)} does not match scenario length {len(scenario)}")
+    if e_stor_end is not None and len(e_stor_end) != len(q):
+        raise ShapeError(
+            f"schedule has {len(q)} rates but {len(e_stor_end)} stored-energy values")
     problems = build_problems(scenario, plant, cop_model, tes, p_mean_mode)
     fixed = []
     for k, (problem, _) in enumerate(problems):
-        day_q = q[k * HOURS_PER_DAY:(k + 1) * HOURS_PER_DAY]
+        hours = slice(k * HOURS_PER_DAY, (k + 1) * HOURS_PER_DAY)
+        day_q = q[hours]
         schedule = StorageSchedule.from_rates(day_q, tes)
-        violations = check_schedule(schedule, tes)
+        stated = schedule if e_stor_end is None else StorageSchedule(
+            day_q, [tes.e_initial, *e_stor_end[hours]])
+        violations = check_schedule(stated, tes)
         if violations:
             raise InfeasibleScheduleError(
                 f"day {k}: fixed schedule infeasible: "

@@ -17,14 +17,11 @@ numpy. Hourly series are `array('d')`.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from array import array
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
-
-log = logging.getLogger(__name__)
 
 from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power
 from .errors import (
@@ -113,7 +110,7 @@ def load_scenario(path: str) -> Scenario:
                     f"{path}: row {row_no}: non-hourly gap of {gap:.0f} s", row=row_no)
 
     seed = meta.get("seed", "none")
-    scenario = Scenario(
+    return Scenario(
         timestamps=timestamps,
         p_base=table["p_base_mw"],
         q_cool=table["q_cool_mw"],
@@ -123,13 +120,6 @@ def load_scenario(path: str) -> Scenario:
         source=meta.get("source", "file"),
         seed=None if seed == "none" else int(seed),
     )
-    log.info(
-        "loaded %s: %d hourly rows, p_base %.1f-%.1f MW, q_cool %.1f-%.1f MW, "
-        "twb %.1f-%.1f C", path, len(scenario),
-        min(scenario.p_base), max(scenario.p_base),
-        min(scenario.q_cool), max(scenario.q_cool),
-        min(scenario.twb), max(scenario.twb))
-    return scenario
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:

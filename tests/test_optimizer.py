@@ -42,6 +42,7 @@ from gridshave.optimizer import (
     operator_heuristic,
     solve,
 )
+from gridshave.regression import SampleSet, save_samples
 from gridshave.scenario import SynthParams, generate_synthetic, write_scenario
 from gridshave.run import build_problems
 from gridshave.plant import DEFAULT_PLANT
@@ -747,8 +748,9 @@ def test_import_and_optimize_load_no_scipy(tmp_path):
 
 
 def test_only_optimize_loads_numpy(tmp_path):
-    # numpy is imported by the Newton loop only: importing the package and
-    # the CLI, and every command that solves nothing, leaves it unloaded
+    # numpy is imported by the Newton loop and by synth's normal stream only:
+    # importing the package and the CLI, and every other command, leaves it
+    # unloaded
     src = os.path.dirname(os.path.dirname(gridshave.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, gridshave, gridshave.cli; print('numpy' in sys.modules)"
@@ -759,11 +761,18 @@ def test_only_optimize_loads_numpy(tmp_path):
     scenario_path = str(tmp_path / "day.csv")
     write_scenario(generate_synthetic(seed=1), scenario_path)
     run_dir = str(tmp_path / "run")
+    samples_path = str(tmp_path / "samples.csv")
+    plr = np.linspace(0.0, 1.0, 20)
+    twb = np.resize([12.0, 20.0, 28.0], 20)
+    save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
+                 samples_path)
     commands = {
         "optimize": ["--scenario", scenario_path, "--out", run_dir],
         "simulate": ["--scenario", scenario_path, "--out", str(tmp_path / "sim"),
                      "--schedule", os.path.join(run_dir, "schedule.csv")],
         "report": ["--run", run_dir],
+        "fit": ["--samples", samples_path, "--out", str(tmp_path / "cop.cfg")],
+        "synth": ["--out", str(tmp_path / "synth.csv")],
     }
     loads_numpy = {}
     for command, flags in commands.items():
@@ -773,7 +782,8 @@ def test_only_optimize_loads_numpy(tmp_path):
         imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
                     if line.startswith("import time:")]
         loads_numpy[command] = "numpy" in imported
-    assert loads_numpy == {"optimize": True, "simulate": False, "report": False}
+    assert loads_numpy == {"optimize": True, "simulate": False, "report": False,
+                           "fit": False, "synth": True}
 
 
 def test_import_leaves_process_pool_modules_unloaded():

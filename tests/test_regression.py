@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridshave.cooling import cop_values
 from gridshave.errors import MetricUndefinedError, ScenarioParseError, ShapeError, SingularFitError
 from gridshave.regression import (
+    BASIS_NAMES,
     SampleSet,
     cvrmse,
     design_matrix,
@@ -95,7 +98,7 @@ def test_fit_with_noise_small_cvrmse(cop_model):
 def test_fit_idempotent(cop_model):
     samples = _samples_from_model(cop_model, noise=0.1, seed=3)
     first = fit_cop_model(samples)
-    X = design_matrix(samples.plr, samples.twb)
+    X = np.column_stack(design_matrix(samples.plr, samples.twb))
     refit = fit_cop_model(SampleSet(plr=samples.plr, twb=samples.twb,
                                     cop=X @ np.array(first.model.coefficients())))
     assert np.max(np.abs(np.array(refit.model.coefficients())
@@ -122,6 +125,71 @@ def test_fit_constant_twb_names_collinear_columns():
         fit_cop_model(SampleSet(plr=plr, twb=np.full(20, 20.0), cop=plr + 1.0))
     named = exc_info.value.collinear_columns
     assert "twb" in named or "twb*plr" in named or "twb^2" in named
+
+
+def _basis(plr, twb):
+    """The six basis columns, built here as the reference solvers' matrix."""
+    plr, twb = np.asarray(plr, dtype=float), np.asarray(twb, dtype=float)
+    return np.column_stack([np.ones_like(plr), plr, twb, plr * plr, twb * plr, twb * twb])
+
+
+@st.composite
+def _full_rank_sets(draw):
+    """(plr, twb, cop) lists of 12-200 samples whose design matrix has a
+    condition number under 1e6."""
+    n = draw(st.integers(12, 200))
+    plr, twb, cop = (draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+                     for lo, hi in ((0.0, 1.0), (10.0, 30.0), (1.0, 10.0)))
+    assume(np.linalg.cond(_basis(plr, twb)) < 1e6)
+    return plr, twb, cop
+
+
+@settings(max_examples=60, deadline=None)
+@given(_full_rank_sets())
+def test_fit_matches_lstsq_reference(sample_set):
+    plr, twb, cop = sample_set
+    reference = np.linalg.lstsq(_basis(plr, twb), cop, rcond=None)[0]
+    got = np.array(fit_cop_model(SampleSet(plr=plr, twb=twb, cop=cop)).model.coefficients())
+    assert np.max(np.abs(got - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+
+def _greedy_collinear_columns(X):
+    """Names of the basis columns that leave matrix_rank unchanged, left to right."""
+    bad, rank = [], 0
+    for j in range(X.shape[1]):
+        new_rank = np.linalg.matrix_rank(X[:, : j + 1])
+        if new_rank == rank:
+            bad.append(BASIS_NAMES[j])
+        rank = new_rank
+    return bad
+
+
+_RNG = np.random.default_rng(11)
+_PLR = _RNG.uniform(0.0, 1.0, 24)
+_TWB = _RNG.uniform(10.0, 30.0, 24)
+
+#: name -> (plr, twb) of sample sets whose design matrix is rank deficient
+_RANK_DEFICIENT = {
+    "identical rows": (np.full(12, 0.5), np.full(12, 20.0)),
+    "constant twb": (_PLR, np.full(24, 20.0)),
+    "constant plr": (np.full(24, 0.3), _TWB),
+    "twb linear in plr": (_PLR, 10.0 + 20.0 * _PLR),
+    "plr all zero": (np.zeros(24), _TWB),
+    "two twb levels": (_PLR, np.where(_TWB < 20.0, 15.0, 25.0)),
+    "two plr levels": (np.where(_PLR < 0.5, 0.25, 0.75), _TWB),
+    "two levels each": (np.where(_PLR < 0.5, 0.0, 1.0), np.where(_TWB < 20.0, 12.0, 28.0)),
+    "three points": (np.resize([0.1, 0.5, 0.9], 24), np.resize([11.0, 29.0, 17.0], 24)),
+}
+
+
+@pytest.mark.parametrize("case", list(_RANK_DEFICIENT))
+def test_fit_collinear_columns_match_greedy_matrix_rank(case):
+    plr, twb = _RANK_DEFICIENT[case]
+    expected = _greedy_collinear_columns(_basis(plr, twb))
+    assert expected
+    with pytest.raises(SingularFitError) as exc_info:
+        fit_cop_model(SampleSet(plr=plr, twb=twb, cop=np.full(len(plr), 5.0)))
+    assert list(exc_info.value.collinear_columns) == expected
 
 
 def test_fitted_model_validity_window(cop_model):

@@ -10,7 +10,7 @@ import gridshave.optimizer
 import gridshave.run
 from gridshave.cli import cli_main
 from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, cop_values
-from gridshave.errors import InfeasibleScheduleError
+from gridshave.errors import InfeasibleScheduleError, ShapeError
 from gridshave.optimizer import SolverOptions, objective, solve
 from gridshave.plant import DEFAULT_PLANT, PlantConfig, fuel_savings
 from gridshave.regression import SampleSet, save_samples
@@ -93,8 +93,9 @@ def test_report_rebuild_from_run_dir(tmp_path, run_report):
 
 def test_schedule_csv_round_trip(tmp_path, run_report):
     paths = write_run_outputs(run_report, str(tmp_path / "run"))
-    rates = load_schedule_csv(paths["schedule"], run_report.timestamps)
+    rates, stored = load_schedule_csv(paths["schedule"], run_report.timestamps)
     assert np.array_equal(rates, run_report.table["q_stor_mw"])
+    assert np.array_equal(stored, run_report.table["e_stor_end_mwh"])
 
 
 def test_svg_is_deterministic_and_well_formed(tmp_path, run_report):
@@ -173,6 +174,24 @@ def test_evaluate_fixed_schedule_infeasible_names_day(synth_scenario):
                                 DEFAULT_COP_MODEL, DEFAULT_TES)
 
 
+def test_evaluate_fixed_schedule_checks_the_stated_trajectory(synth_scenario, run_results):
+    q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
+    e_end = np.concatenate([d.optimal.schedule.e_stor[1:] for d in run_results])
+    fixed = evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL,
+                                    DEFAULT_TES, e_stor_end=e_end)
+    assert [d.optimal.objective for d in fixed] == [
+        d.optimal.objective for d in evaluate_fixed_schedule(
+            synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)]
+    with pytest.raises(ShapeError, match="72 rates but 71 stored-energy values"):
+        evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL,
+                                DEFAULT_TES, e_stor_end=e_end[:-1])
+    e_end[30] += 1e-3   # day 1, the stored energy after its hour 6
+    with pytest.raises(InfeasibleScheduleError,
+                       match="^day 1: fixed schedule infeasible: trajectory at hour 7"):
+        evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL,
+                                DEFAULT_TES, e_stor_end=e_end)
+
+
 def test_evaluate_fixed_schedule_non_finite_rate_names_day(synth_scenario):
     q = np.zeros(len(synth_scenario))
     q[3] = np.nan   # chiller power at hour 3 would silently read 0
@@ -226,7 +245,6 @@ def test_cli_fit_rejects_non_finite_cop_floor(tmp_path, capsys, floor):
     save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
                  samples_path)
     out_path = tmp_path / "cop.cfg"
-    # `=` keeps argparse from reading -inf as a flag
     assert cli_main(["fit", "--samples", samples_path, "--out", str(out_path),
                      f"--cop-floor={floor}"]) == 1
     assert f"error: cop_floor must be finite, got {float(floor)}" in capsys.readouterr().err
@@ -406,6 +424,20 @@ def test_cli_simulate_infeasible_schedule_exits_1(tmp_path, capsys):
     assert cli_main(["simulate", "--scenario", scenario_path, "--schedule", str(schedule),
                      "--out", str(tmp_path / "sim")]) == 1
     assert "day 0: fixed schedule infeasible" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_stored_energy_off_the_rates(default_run, capsys):
+    # every e_stor_end_mwh cell reads -999.0, far below an empty tank
+    header, *rows = (default_run / "schedule.csv").read_text().splitlines()
+    schedule = default_run / "other.csv"
+    schedule.write_text("\n".join([header, *(r.rsplit(",", 1)[0] + ",-999.0" for r in rows)])
+                        + "\n")
+    capsys.readouterr()
+    assert cli_main(["simulate", "--scenario", str(default_run.parent / "scenario.csv"),
+                     "--schedule", str(schedule), "--out", str(default_run / "sim")]) == 1
+    assert re.search(r"day 0: fixed schedule infeasible: trajectory at hour 1: "
+                     r"value -999\.000000", capsys.readouterr().err)
+    assert not (default_run / "sim").exists()
 
 
 @pytest.mark.parametrize("hours, row, stamped", [

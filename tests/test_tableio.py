@@ -75,7 +75,8 @@ def test_schedule_round_trip_bit_exact(cols):
                              table={"q_stor_mw": q_stor, "e_stor_end_mwh": e_stor_end})
     loaded = _round_trip(lambda p: write_schedule_csv(report, p),
                          lambda p: load_schedule_csv(p, report.timestamps))
-    assert _bits_equal(loaded, q_stor)
+    assert _bits_equal(loaded[0], q_stor)
+    assert _bits_equal(loaded[1], e_stor_end)
 
 
 #: header -> loader of every table the package reads

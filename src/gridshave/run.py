@@ -107,8 +107,9 @@ def evaluate_fixed_schedule(scenario: Scenario,
     `e_stor_end`, if given, is the stored energy after each hour as the
     schedule states it; the limits are then checked on it, so a stated
     trajectory off the recursion of the rates is a `trajectory` violation.
-    Raises InfeasibleScheduleError, naming the day, when the schedule breaks
-    a trajectory, rate, tank or terminal-state limit.
+    Raises InfeasibleScheduleError, naming the day and its first violation
+    in `check_schedule`'s order, when the schedule breaks a trajectory, rate,
+    tank or terminal-state limit.
     """
     q = array("d", q_stor)
     if len(q) != len(scenario):
@@ -127,9 +128,9 @@ def evaluate_fixed_schedule(scenario: Scenario,
             day_q, [tes.e_initial, *e_stor_end[hours]])
         violations = check_schedule(stated, tes)
         if violations:
+            more = f"; and {len(violations) - 1} more" if len(violations) > 1 else ""
             raise InfeasibleScheduleError(
-                f"day {k}: fixed schedule infeasible: "
-                + "; ".join(str(v) for v in violations))
+                f"day {k}: fixed schedule infeasible: {violations[0]}{more}")
         generation = generation_profile(day_q, problem)
         fixed.append(OptimalSchedule(
             schedule=schedule, objective=flatness(generation, problem.p_mean),

@@ -9,15 +9,16 @@ round-trips through leading `# key: value` comment lines. Floats are written
 with repr so load(write(s)) == s exactly.
 
 Synthetic days take their levels and amplitudes from SynthParams and their
-shape from the module constants PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR,
-STEAM_BASE_MW, STEAM_AMP_MW and DAY_SCALE; their noise is drawn from numpy's
-PCG64 stream, so `generate_synthetic` is the one function here that loads
-numpy. Hourly series are `array('d')`.
+shape from the module constants BELL, TWB_PEAK_HOUR, STEAM_BASE_MW,
+STEAM_AMP_MW and DAY_SCALE; their noise is numpy's `default_rng(seed).normal`
+stream, drawn bit for bit by the standard-library `_pcg64` module that
+`generate_synthetic` imports, so this module loads no numpy. Hourly series are `array('d')`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass, field, fields
@@ -138,6 +139,19 @@ PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR = 15.0, 3.2, 16.0
 STEAM_BASE_MW, STEAM_AMP_MW = 9.0, 3.0
 DAY_SCALE = (1.0, 0.93, 0.86)
 
+#: The bell exp(-0.5 * ((h - PEAK_HOUR) / PEAK_WIDTH_H) ** 2) at hours 0-23,
+#: as numpy's vectorized `np.exp` gave it when the default `synth` CSV was
+#: pinned. It differs from `math.exp` by one ulp at hours 7, 13, 17 and 23,
+#: and np.exp itself can differ between CPUs, so the values are literals.
+BELL = (
+    1.6931612436129992e-05, 6.97695771959971e-05, 0.0002607487846688268, 0.00088382630693505,
+    0.0027170647293235837, 0.0075756774442599355, 0.019157171837129137, 0.04393693362340741,
+    0.09139375535604724, 0.17242162389375282, 0.29502265617444284, 0.45783336177161427,
+    0.6443887248251953, 0.8225775623986645, 0.9523447998951764, 1.0,
+    0.9523447998951764, 0.8225775623986645, 0.6443887248251953, 0.45783336177161427,
+    0.29502265617444284, 0.17242162389375282, 0.09139375535604724, 0.04393693362340741,
+)
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -177,42 +191,50 @@ class SynthParams:
 def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Scenario:
     """Deterministic synthetic scenario with afternoon-peaked cooling.
 
-    Raises SynthesisError when the implied no-storage generation under the
-    default plant, COP model and storage would exceed the plant's total
-    capacity or the chiller capacity at any hour. It loads numpy for the
-    seeded PCG64 normal stream.
+    The hourly noise is `numpy.random.default_rng(seed).normal`'s stream,
+    reproduced bit for bit without numpy; `seed` is any integer, numpy's
+    included. A negative seed raises SynthesisError, and so do parameters
+    whose no-storage generation under the default plant, COP model and
+    storage would exceed the plant's total capacity or the chiller capacity
+    at any hour.
     """
-    import numpy as np
+    # imported here, so that commands drawing no noise do not load its tables
+    from ._pcg64 import Pcg64
 
-    rng = np.random.default_rng(seed)
-    hours = np.arange(HOURS_PER_DAY, dtype=float)
-    bell = np.exp(-0.5 * ((hours - PEAK_HOUR) / PEAK_WIDTH_H) ** 2)
-    twb_wave = np.cos(2.0 * math.pi * (hours - TWB_PEAK_HOUR) / 24.0)
-    steam = STEAM_BASE_MW + STEAM_AMP_MW * np.cos(2.0 * math.pi * (hours - 7.0) / 24.0)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise SynthesisError(f"seed must be a non-negative integer, got {seed}")
+    rng = Pcg64(seed)
+    hours = [float(h) for h in range(HOURS_PER_DAY)]
+    twb_wave = [math.cos(2.0 * math.pi * (h - TWB_PEAK_HOUR) / 24.0) for h in hours]
+    steam = [STEAM_BASE_MW + STEAM_AMP_MW * math.cos(2.0 * math.pi * (h - 7.0) / 24.0)
+             for h in hours]
+    twb_min, twb_max = DEFAULT_COP_MODEL.twb_min, DEFAULT_COP_MODEL.twb_max
 
-    p_base_parts = []
-    q_cool_parts = []
-    twb_parts = []
+    p_base, q_cool, twb = [], [], []
     for day in range(params.days):
         scale = DAY_SCALE[day % len(DAY_SCALE)]
-        p_base = params.base_level_mw + scale * params.base_peak_amp_mw * bell
-        q_cool = params.cool_base_mw + scale * params.cool_peak_amp_mw * bell
-        twb = params.twb_base_c + scale * params.twb_amp_c * twb_wave
+        p_amp, q_amp = scale * params.base_peak_amp_mw, scale * params.cool_peak_amp_mw
+        twb_amp = scale * params.twb_amp_c
+        p_day = [params.base_level_mw + p_amp * b for b in BELL]
+        q_day = [params.cool_base_mw + q_amp * b for b in BELL]
         if params.noise_mw > 0.0:
-            p_base = p_base + rng.normal(0.0, params.noise_mw, HOURS_PER_DAY)
-            q_cool = q_cool + rng.normal(0.0, 2.0 * params.noise_mw, HOURS_PER_DAY)
-        p_base_parts.append(np.maximum(p_base, 0.0))
-        q_cool_parts.append(np.maximum(q_cool, 0.0))
-        twb_parts.append(np.clip(twb, DEFAULT_COP_MODEL.twb_min, DEFAULT_COP_MODEL.twb_max))
+            p_noise = rng.normal(params.noise_mw, HOURS_PER_DAY)
+            q_noise = rng.normal(2.0 * params.noise_mw, HOURS_PER_DAY)
+            p_day = [p + n for p, n in zip(p_day, p_noise)]
+            q_day = [q + n for q, n in zip(q_day, q_noise)]
+        p_base += [max(p, 0.0) for p in p_day]
+        q_cool += [max(q, 0.0) for q in q_day]
+        twb += [min(max(params.twb_base_c + twb_amp * w, twb_min), twb_max) for w in twb_wave]
 
     timestamps = [params.start + timedelta(hours=i)
                   for i in range(params.days * HOURS_PER_DAY)]
     scenario = Scenario(
         timestamps=timestamps,
-        p_base=np.concatenate(p_base_parts).tolist(),
-        q_cool=np.concatenate(q_cool_parts).tolist(),
-        q_s_c=np.tile(steam, params.days).tolist(),
-        twb=np.concatenate(twb_parts).tolist(),
+        p_base=p_base,
+        q_cool=q_cool,
+        q_s_c=steam * params.days,
+        twb=twb,
         name=f"synthetic-{seed}",
         source="synthetic",
         seed=seed,

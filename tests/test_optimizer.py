@@ -748,9 +748,8 @@ def test_import_and_optimize_load_no_scipy(tmp_path):
 
 
 def test_only_optimize_loads_numpy(tmp_path):
-    # numpy is imported by the Newton loop and by synth's normal stream only:
-    # importing the package and the CLI, and every other command, leaves it
-    # unloaded
+    # numpy is imported by the Newton loop only: importing the package and the
+    # CLI, and every other command, leaves it unloaded
     src = os.path.dirname(os.path.dirname(gridshave.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, gridshave, gridshave.cli; print('numpy' in sys.modules)"
@@ -783,7 +782,7 @@ def test_only_optimize_loads_numpy(tmp_path):
                     if line.startswith("import time:")]
         loads_numpy[command] = "numpy" in imported
     assert loads_numpy == {"optimize": True, "simulate": False, "report": False,
-                           "fit": False, "synth": True}
+                           "fit": False, "synth": False}
 
 
 def test_import_leaves_process_pool_modules_unloaded():

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -190,6 +192,20 @@ def test_evaluate_fixed_schedule_checks_the_stated_trajectory(synth_scenario, ru
                        match="^day 1: fixed schedule infeasible: trajectory at hour 7"):
         evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL,
                                 DEFAULT_TES, e_stor_end=e_end)
+
+
+def test_evaluate_fixed_schedule_error_names_the_first_violation_only(synth_scenario,
+                                                                      run_results):
+    # a stored energy of -999 MWh after every hour breaks the recursion of the
+    # rates and the tank bottom at hours 1-24 and the terminal state: 49 limits
+    q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
+    with pytest.raises(InfeasibleScheduleError) as info:
+        evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL,
+                                DEFAULT_TES, e_stor_end=np.full(len(q), -999.0))
+    message = str(info.value)
+    assert re.fullmatch(r"day 0: fixed schedule infeasible: trajectory at hour 1: "
+                        r"value -999\.000000, limit \d+\.\d{6}; and 48 more", message)
+    assert len(message) < 120
 
 
 def test_evaluate_fixed_schedule_non_finite_rate_names_day(synth_scenario):
@@ -404,6 +420,17 @@ def test_cli_default_synth_keeps_its_hash(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SYNTH_SHA256
 
 
+def test_cli_default_synth_keeps_its_hash_without_numpy(tmp_path):
+    # a None entry in sys.modules makes every `import numpy` fail
+    path = tmp_path / "scenario.csv"
+    code = ("import sys; sys.modules['numpy'] = None; from gridshave.cli import main; "
+            f"sys.argv = ['gridshave', 'synth', '--out', {str(path)!r}]; main()")
+    src = os.path.dirname(os.path.dirname(gridshave.run.__file__))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, capture_output=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SYNTH_SHA256
+
+
 def test_cli_workers_flag_is_ignored(tmp_path):
     scenario_path = str(tmp_path / "scenario.csv")
     assert cli_main(["synth", "--out", scenario_path]) == 0
@@ -538,6 +565,7 @@ _NEGATIVE_SPELLINGS = [
     ("synth", ["--base-mw", "-1e3"], "base_level_mw must be non-negative, got -1000.0"),
     ("synth", ["--noise-mw", "-.5E+1"], "noise_mw must be non-negative, got -5.0"),
     ("synth", ["--days", "-2"], "days must be at least 1, got -2"),
+    ("synth", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
 ]
 
 

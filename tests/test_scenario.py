@@ -4,11 +4,14 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridshave.cooling import chiller_power
+from gridshave.cooling import DEFAULT_COP_MODEL, chiller_power
 from gridshave.errors import (
     ChillerCapacityError,
     CopDomainError,
+    DegenerateCopError,
     InfeasibleDemandError,
     InfeasibleDischargeError,
     ScenarioParseError,
@@ -17,8 +20,17 @@ from gridshave.errors import (
 )
 from gridshave.regression import SAMPLES_HEADER, load_samples
 from gridshave.report import REPORT_HEADER, SCHEDULE_HEADER, load_report_table, load_schedule_csv
+from gridshave.plant import DEFAULT_PLANT
 from gridshave.scenario import (
+    BELL,
+    DAY_SCALE,
+    HOURS_PER_DAY,
+    PEAK_HOUR,
+    PEAK_WIDTH_H,
     SCENARIO_HEADER,
+    STEAM_AMP_MW,
+    STEAM_BASE_MW,
+    TWB_PEAK_HOUR,
     Scenario,
     SynthParams,
     generate_synthetic,
@@ -216,6 +228,104 @@ def test_synthetic_afternoon_peak_overnight_valley(synth_scenario):
     overnight = np.concatenate([day.q_cool[:5], day.q_cool[22:]])
     assert float(np.max(overnight)) < float(np.max(day.q_cool)) - 20.0
     assert 10.0 <= float(np.min(day.twb)) and float(np.max(day.twb)) <= 30.0
+
+
+def _numpy_synthetic(params, seed):
+    """generate_synthetic as it was written with numpy, the reference for the
+    numpy-free one. Its bell was np.exp's, whose last bit varies with the
+    CPU's exp kernel; the reference takes the pinned values from BELL."""
+    rng = np.random.default_rng(seed)
+    hours = np.arange(HOURS_PER_DAY, dtype=float)
+    bell = np.array(BELL)
+    twb_wave = np.cos(2.0 * math.pi * (hours - TWB_PEAK_HOUR) / 24.0)
+    steam = STEAM_BASE_MW + STEAM_AMP_MW * np.cos(2.0 * math.pi * (hours - 7.0) / 24.0)
+    p_base_parts, q_cool_parts, twb_parts = [], [], []
+    for day in range(params.days):
+        scale = DAY_SCALE[day % len(DAY_SCALE)]
+        p_base = params.base_level_mw + scale * params.base_peak_amp_mw * bell
+        q_cool = params.cool_base_mw + scale * params.cool_peak_amp_mw * bell
+        twb = params.twb_base_c + scale * params.twb_amp_c * twb_wave
+        if params.noise_mw > 0.0:
+            p_base = p_base + rng.normal(0.0, params.noise_mw, HOURS_PER_DAY)
+            q_cool = q_cool + rng.normal(0.0, 2.0 * params.noise_mw, HOURS_PER_DAY)
+        p_base_parts.append(np.maximum(p_base, 0.0))
+        q_cool_parts.append(np.maximum(q_cool, 0.0))
+        twb_parts.append(np.clip(twb, DEFAULT_COP_MODEL.twb_min, DEFAULT_COP_MODEL.twb_max))
+    scenario = Scenario(
+        timestamps=[params.start + timedelta(hours=i)
+                    for i in range(params.days * HOURS_PER_DAY)],
+        p_base=np.concatenate(p_base_parts).tolist(),
+        q_cool=np.concatenate(q_cool_parts).tolist(),
+        q_s_c=np.tile(steam, params.days).tolist(),
+        twb=np.concatenate(twb_parts).tolist(),
+        name=f"synthetic-{seed}", source="synthetic", seed=seed)
+    try:
+        g = no_storage_baseline(scenario)
+    except (ChillerCapacityError, DegenerateCopError, InfeasibleDemandError) as exc:
+        raise SynthesisError(f"synthetic parameters are infeasible: {exc}") from exc
+    if max(g) > DEFAULT_PLANT.cap_total:
+        raise SynthesisError(
+            f"synthetic parameters imply a no-storage peak of {max(g):.1f} MW, "
+            f"above total plant capacity {DEFAULT_PLANT.cap_total} MW")
+    return scenario
+
+
+def _outcome(generate, params, seed):
+    try:
+        scenario = generate(params, seed)
+    except SynthesisError as exc:
+        return "SynthesisError", str(exc)
+    return [list(map(float.hex, getattr(scenario, attr)))
+            for attr in ("p_base", "q_cool", "q_s_c", "twb")], scenario.name, scenario.seed
+
+
+#: the parameter ranges of acceptance criterion 5
+_CRITERION5 = {
+    "base_level_mw": (24.0, 29.0),
+    "base_peak_amp_mw": (4.0, 9.0),
+    "cool_base_mw": (55.0, 72.0),
+    "cool_peak_amp_mw": (40.0, 70.0),
+    "twb_base_c": (19.0, 23.0),
+    "twb_amp_c": (2.0, 4.0),
+    "noise_mw": (0.0, 0.8),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), days=st.integers(1, 30),
+       seed=st.one_of(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 80)))
+def test_synthetic_matches_numpy_reference(data, days, seed):
+    params = SynthParams(days=days, **{key: data.draw(st.floats(lo, hi), label=key)
+                                       for key, (lo, hi) in _CRITERION5.items()})
+    assert _outcome(generate_synthetic, params, seed) == _outcome(_numpy_synthetic, params, seed)
+
+
+def test_synthetic_default_matches_numpy_reference():
+    for days in (1, 3, 7):
+        for seed in (0, 1, 2 ** 31 - 1, 2 ** 40 + 7, 2 ** 70 + 3):
+            params = SynthParams(days=days)
+            assert (_outcome(generate_synthetic, params, seed)
+                    == _outcome(_numpy_synthetic, params, seed))
+
+
+def test_synthetic_bell_is_the_gaussian_to_an_ulp():
+    for h, b in enumerate(BELL):
+        exact = math.exp(-0.5 * ((h - PEAK_HOUR) / PEAK_WIDTH_H) ** 2)
+        assert abs(b - exact) <= math.ulp(exact), h
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.uint64(2 ** 64 - 1)])
+def test_synthetic_numpy_integer_seed_is_the_same_stream(seed):
+    scenario = generate_synthetic(SynthParams(days=1), seed=seed)
+    assert scenario == generate_synthetic(SynthParams(days=1), seed=int(seed))
+    assert type(scenario.seed) is int
+
+
+@pytest.mark.parametrize("seed", [-1, -2 ** 64, np.int64(-3)])
+def test_synthetic_rejects_negative_seed(seed):
+    with pytest.raises(SynthesisError,
+                       match=f"^seed must be a non-negative integer, got {int(seed)}$"):
+        generate_synthetic(SynthParams(days=1), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ if TYPE_CHECKING:
 #: surface making the cost non-convex cannot make the step system indefinite.
 HESSIAN_FLOOR = 1e-6
 
-#: Fraction of each hour's [lo, hi] width kept between the starting rate and
-#: the box edge.
+#: Least starting slack of a rate row, as a fraction of the hour's [lo, hi]
+#: width.
 BOX_MARGIN = 0.05
 
 #: Fraction of the way to the slack and dual boundary a step may go.
@@ -75,69 +75,72 @@ class _HourlyCost:
 
 def _interior_point(problem: ScheduleProblem, lo, hi, x0,
                     opts: SolverOptions) -> tuple[np.ndarray, int, bool, str]:
-    """Primal-dual interior-point Newton method with Mehrotra's predictor-corrector.
+    """Primal-dual interior-point Newton method with Mehrotra's predictor-corrector,
+    in stored-energy coordinates.
 
-    The inequalities are the box lo <= x <= hi on the hours whose interval is
-    wider than feasibility_tol (a narrower hour stays at its start value, so
-    an hour with lo == hi needs no slack) and the stored-energy rows
-    0 <= e_initial + (L x)(t) <= e_max for t < T-1, where L = np.tri(T-1, T)
-    is the lower-triangular matrix of ones. They are the rows of one dense
-    matrix G = [I_f; -I_f; L; -L], built once per solve, in G x + s = h with
-    slack s >= 0 and dual z >= 0 (I_f: the identity rows of the free hours);
-    the terminal row sum(x) = delta has multiplier y. s and z are the two
-    halves of one buffer, and so are their steps ds and dz, so the step to
-    the boundary is one masked minimum and the update one in-place add.
+    The variables are the stored energies e(1..T-1) between the fixed
+    e(0) = e_initial and e(T) = e_terminal, and each rate is a difference
+    e(t+1) - e(t), so the terminal state holds by construction: there is no
+    equality constraint. An hour whose interval is no wider than
+    feasibility_tol keeps its start rate, which ties e(t+1) to e(t); the
+    energies are labelled by the chains such hours link, each chain moves as
+    one variable, and a chain holding e(0) or e(T) is no variable. With u
+    the chains' displacements from the start, the rates are x0 + A u (a row
+    per free hour, +1 and -1 at the two chains it joins) and the moving
+    energies e0 + E u (a row each, 1 at its chain).
 
-    Eliminating s and z leaves the reduced KKT system over the free hours
+    The inequalities are the rate box lo <= x0 + A u <= hi and the tank
+    limits 0 <= e0 + E u <= e_max: with B = [A; E], G u + s = h for
+    G = [B; -B], slack s >= 0 and dual z >= 0. s and z are the two halves of
+    one buffer, and so are their steps ds and dz, so the step to the
+    boundary is one masked minimum and the update one in-place add.
+    Eliminating s and z leaves the Newton system, at most (T-1) x (T-1),
 
-        [ H + Gf'WGf  1 ] [dx]   [rhs]
-        [ 1'          0 ] [dy] = [-r_e],   W = diag(z / s),
+        (A'HA + G'WG) du = rhs,   W = diag(z / s),
 
-    where Gf holds G's columns of the free hours and H is the diagonal of
-    `hessian_diagonal` (floored at HESSIAN_FLOOR). Every product with G, Gf'
-    (kept contiguous) or Gf'WGf is one matrix product.
+    H the diagonal of `hessian_diagonal` floored at HESSIAN_FLOOR. Its
+    matrix is one product B'DB, D the sum of each B row's two weights plus
+    H on A's rows.
 
     The hourly cost terms come from one `_HourlyCost`, whose per-hour
     constants are computed once per solve; its second derivatives are
     evaluated only on the steps actually taken. The residual norms are
-    computed only once the mean complementarity and the terminal residual
-    are within tolerance, and for `message` at exit.
+    computed only once the mean complementarity is within optimality_tol,
+    or within eps times its start value if that is higher; from then on, a
+    step that shrinks neither of them ends the solve unconverged.
 
-    The start is strictly inside the box. A full tank puts the zero schedule
-    on the e_max edge, so every stored-energy row starts with a slack of at
-    least one hour at the rate limit; the primal residual this leaves decays
-    to zero with the steps. Returns (x, steps, converged, message), x a numpy
-    array; lo, hi and x0 may be any float sequences.
+    Each slack starts at its row's distance to the limit, raised to at least
+    BOX_MARGIN of the hour's width on a rate row and to rate_max on a tank
+    row (a full tank puts the zero schedule on the e_max edge); the primal
+    residual this leaves decays to zero with the steps. Returns (x, steps,
+    converged, message), x the rates as a numpy array; lo, hi and x0 may be
+    any float sequences.
     """
     lo, hi, x0 = (np.asarray(v, dtype=float) for v in (lo, hi, x0))
-    T = problem.horizon
     tes = problem.tes
-    delta = tes.e_terminal - tes.e_initial
-    free = np.flatnonzero(hi - lo > opts.feasibility_tol)
-    n = free.size
+    free = hi - lo > opts.feasibility_tol
+    chain = np.concatenate([[0], np.cumsum(free)])   # e(j)'s chain: free hours before j
+    n = chain[-1] - 1    # the chains of e(0) and e(T) do not move
     x = x0.copy()
-    if n == 0:
-        return x, 0, True, "no free hour: every rate is fixed by its bounds"
-    margin = BOX_MARGIN * (hi[free] - lo[free])
-    x[free] = np.clip(x0[free], lo[free] + margin, hi[free] - margin)
-    # rows of G x + s = h: box upper, box lower, tank upper, tank lower
-    box, tri = np.eye(T)[free], np.tri(T - 1, T)
-    G = np.vstack([box, -box, tri, -tri])
-    Gf = G[:, free]
-    GfT = np.ascontiguousarray(Gf.T)
-    h = np.concatenate([hi[free], -lo[free], np.full(T - 1, tes.e_max - tes.e_initial),
-                        np.full(T - 1, tes.e_initial)])
-    k = h.size
+    if n <= 0:
+        return x, 0, True, "no free stored energy: the fixed hours set every rate"
+    moves = np.vstack([np.zeros(n), np.eye(n), np.zeros(n)])[chain]   # e(0..T) per unit u
+    A = (moves[1:] - moves[:-1])[free]
+    inner = (chain[1:-1] > 0) & (chain[1:-1] <= n)
+    E = moves[1:-1][inner]
+    e0 = (tes.e_initial + np.cumsum(x0))[:-1][inner]
+    B = np.vstack([A, E])
+    G = np.vstack([B, -B])
+    GT = np.ascontiguousarray(G.T)
+    m, k = B.shape[0], G.shape[0]
+    AT, BT = GT[:, :n + 1], GT[:, :m]   # A has a row per free hour
+    h = np.concatenate([hi[free] - x0[free], tes.e_max - e0, x0[free] - lo[free], e0])
+    floor = np.concatenate([BOX_MARGIN * (hi[free] - lo[free]), np.full(e0.size, tes.rate_max)])
     sz, dsz = np.empty(2 * k), np.empty(2 * k)
     s, z, ds, dz = sz[:k], sz[k:], dsz[:k], dsz[k:]
-    s[:] = h - G @ x
-    s[2 * n:] = np.maximum(s[2 * n:], tes.rate_max)
+    s[:] = np.maximum(h, np.concatenate([floor, floor]))
     z[:] = 1.0
-    y = 0.0
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[n, :n] = kkt[:n, n] = 1.0
-    kkt_diag = kkt.reshape(-1)[:n * (n + 2):n + 2]   # a view of the first n diagonal entries
-    rhs = np.empty(n + 1)
+    u = np.zeros(n)
     cost = _HourlyCost(problem)
 
     def residual_norms():
@@ -148,52 +151,52 @@ def _interior_point(problem: ScheduleProblem, lo, hi, x0,
 
     def direction(r_c):
         """Newton step for complementarity target r_c = s z - target; fills ds, dz."""
-        np.subtract(neg_r_d, GfT @ ((z_neg_r_p + r_c) / neg_s), out=rhs[:n])
-        sol = np.linalg.solve(kkt, rhs)
-        np.subtract(neg_r_p, Gf @ sol[:n], out=ds)
+        du = np.linalg.solve(newton, neg_r_d - GT @ ((z_neg_r_p + r_c) / neg_s))
+        np.subtract(neg_r_p, G @ du, out=ds)
         np.divide(r_c + z * ds, neg_s, out=dz)
-        return sol
+        return du
 
-    step = 0
+    watch = max(opts.optimality_tol, np.finfo(float).eps * float(s @ z) / k)
+    step, last = 0, (np.inf, np.inf)
     while True:
         grad = cost.gradient(x)
         # the residuals are kept negated, as the right-hand sides use them
-        neg_r_d = -(grad[free] + GfT @ z + y)
-        neg_r_p = h - (G @ x + s)
-        r_e = float(x.sum()) - delta
+        neg_r_d = -(AT @ grad[free] + GT @ z)
+        neg_r_p = h - (G @ u + s)
         mu = float(s @ z) / k
-        converged = False
-        if mu <= opts.optimality_tol and abs(r_e) <= opts.feasibility_tol:
-            res_d, res_p = residual_norms()
-            converged = res_d <= opts.optimality_tol and res_p <= opts.feasibility_tol
-        if converged or step >= opts.max_iterations:
+        converged = stalled = False
+        if mu <= watch:
+            norms = residual_norms()
+            converged = (mu <= opts.optimality_tol and norms[0] <= opts.optimality_tol
+                         and norms[1] <= opts.feasibility_tol)
+            stalled = not (norms[0] < last[0] or norms[1] < last[1])
+            last = norms
+        if converged or stalled or step >= opts.max_iterations:
             break
 
-        kkt[:n, :n] = (GfT * (z / s)) @ Gf
-        kkt_diag += np.maximum(cost.hessian()[free], HESSIAN_FLOOR)
-        rhs[n] = -r_e
+        w = z / s
+        w = w[:m] + w[m:]   # each B row's weight in the Newton matrix
+        w[:n + 1] += np.maximum(cost.hessian()[free], HESSIAN_FLOOR)
+        newton = (BT * w) @ B
         z_neg_r_p, neg_s = z * neg_r_p, -s
         # predictor: the pure Newton step, which sets the centring weight
         r_c = s * z
-        try:
-            direction(r_c)
-        except np.linalg.LinAlgError:
-            break   # W outgrew floating point before the tolerances were met
+        direction(r_c)
         alpha = min(1.0, _max_step(sz, dsz))
         trial = sz + alpha * dsz
         mu_aff = float(trial[:k] @ trial[k:]) / k
         sigma = min(1.0, (mu_aff / mu) ** 3)
         # corrector: centre towards sigma * mu and cancel the second-order term
-        sol = direction(r_c + ds * dz - sigma * mu)
+        du = direction(r_c + ds * dz - sigma * mu)
         alpha = min(1.0, STEP_TO_BOUNDARY * _max_step(sz, dsz))
-        x[free] += alpha * sol[:n]
+        u += alpha * du
+        x[free] = x0[free] + A @ u
         sz += alpha * dsz
-        y += alpha * sol[n]
         step += 1
 
     res_d, res_p = residual_norms()
     message = (f"interior point, {step} steps: relative dual residual {res_d:.2e}, primal "
-               f"{res_p:.2e}, terminal {abs(r_e):.2e}, complementarity {mu:.2e}")
+               f"{res_p:.2e}, complementarity {mu:.2e}")
     return x, step, converged, message
 
 

@@ -87,12 +87,19 @@ class TesConfig(ConfigFile):
     q_ch_max: float = NOMINAL_COOLING_MW
 
     def __post_init__(self):
-        if self.e_max < 0 or self.rate_max < 0 or self.q_ch_max <= 0:
-            raise ValueError("storage capacity, rate limit and chiller capacity must be positive")
-        for name in ("e_initial", "e_terminal"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= self.e_max:
-                raise ValueError(f"{name}={v} outside [0, e_max={self.e_max}]")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        tank = f"[0, e_max={self.e_max}]"
+        for name, admissible, interval in (
+                ("e_max", self.e_max >= 0.0, "[0, inf)"),
+                ("rate_max", self.rate_max >= 0.0, "[0, inf)"),
+                ("q_ch_max", self.q_ch_max > 0.0, "(0, inf)"),
+                ("e_initial", 0.0 <= self.e_initial <= self.e_max, tank),
+                ("e_terminal", 0.0 <= self.e_terminal <= self.e_max, tank)):
+            if not admissible:
+                raise ValueError(f"{name} must be in {interval}, got {getattr(self, name)}")
 
 
 DEFAULT_TES = TesConfig()

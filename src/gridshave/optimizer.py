@@ -10,19 +10,19 @@ minimizes
 subject to the rate box, the stored-energy chain 0 <= e(t) <= e_max, the
 terminal state e(T) = e_terminal, per-hour chiller capacity and the COP
 floor. Capacity is linear and the COP surface quadratic in PLR, so both
-reduce to per-hour intervals on q_stor (`hour_bounds`); the stored-energy
-limits are the cumulative-sum rows of the rates, and the terminal state is
-one equality on their sum.
+reduce to per-hour intervals on q_stor (`hour_bounds`).
 
-Each hour's cost depends on that hour's rate alone, so the Hessian of the
-objective is diagonal and known in closed form (`hessian_diagonal`). `solve`
+Each hour's cost depends on that hour's rate alone, so the Hessian in the
+rates is diagonal and known in closed form (`hessian_diagonal`). `solve`
 uses this structure in a primal-dual interior-point Newton method with
 Mehrotra's predictor-corrector (Boyd & Vandenberghe, Convex Optimization,
-ch. 11; Mehrotra 1992). The box and stored-energy rows form one dense
-constraint matrix, built once per solve, so every product with it is one
-matrix product; each step solves two (T+1) x (T+1) linear systems with numpy
-(predictor and corrector), and nothing beyond numpy is needed. That loop
-lives in `_newton`, the one module that imports numpy at its top; `solve`,
+ch. 11; Mehrotra 1992) over the stored energies e(1..T-1) between the fixed
+e(0) = e_initial and e(T) = e_terminal. A rate is a difference of two
+energies, so the terminal state holds by construction, a tank limit is a
+bound on one variable, and there is no equality constraint. Each step solves
+two linear systems of at most (T-1) x (T-1) with numpy (predictor and
+corrector), and nothing beyond numpy is needed. That loop lives in
+`_newton`, the one module that imports numpy at its top; `solve`,
 `gradient`, `hessian_diagonal` and `dp_oracle` import it when called, and
 everything else here is plain per-hour Python on `array('d')` series. The
 chiller model is `cooling`'s: `_newton._HourlyCost` takes the per-hour COP
@@ -278,25 +278,21 @@ def solve(problem: ScheduleProblem,
     is checked once with `check_schedule` and scored by one validated
     `chiller_power` pass, and the best one that passes is returned, so the
     result never loses to either reference schedule. `converged` is True
-    when the dual, primal and terminal residuals and the mean
-    complementarity all fell below tolerance; `message` records them.
+    when the dual and primal residuals and the mean complementarity all fell
+    below tolerance; `message` records them. The solver point reaches
+    e_terminal exactly, up to rounding, as its variables are the stored
+    energies between the fixed boundary states.
     Deterministic for identical inputs and options.
     """
     from ._newton import _interior_point
 
-    T = problem.horizon
     tes = problem.tes
     lo, hi = hour_bounds(problem)
     x0 = feasible_start(problem, lo, hi)
     x, iterations, converged, message = _interior_point(problem, lo, hi, x0, opts)
-    # restore the terminal state exactly; the uniform shift is orders of
-    # magnitude below feasibility_tol and keeps all other limits within it
-    x = x.tolist()
-    shift = (tes.e_terminal - tes.e_initial - sum(x)) / T
-    x = [v + shift for v in x]
     candidates = [StorageSchedule.from_rates(x0, tes), StorageSchedule.from_rates(x, tes)]
     heur = None
-    if T == HOURS_PER_DAY:
+    if problem.horizon == HOURS_PER_DAY:
         heur = operator_heuristic(problem, bounds=(lo, hi))
         candidates.append(heur)
     # a capped solve may stop short of the stored-energy limits

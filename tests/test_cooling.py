@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -391,6 +392,30 @@ def test_check_schedule_matches_brute_force_on_random_schedules():
         assert accepted == _brute_force_ok(q, tes)
         agree += 1
     assert agree == 1000
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["e_max", "rate_max", "e_initial", "e_terminal", "q_ch_max"])
+def test_tes_config_rejects_non_finite_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        TesConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, interval", [
+    ("e_max", -1.0, "[0, inf)"),
+    ("rate_max", -0.5, "[0, inf)"),
+    ("q_ch_max", 0.0, "(0, inf)"),
+    ("e_initial", 200.0, "[0, e_max=175.6]"),
+    ("e_terminal", -1.0, "[0, e_max=175.6]"),
+])
+def test_tes_config_range_message_names_field_and_interval(field, value, interval):
+    message = f"{field} must be in {interval}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TesConfig(**{field: value})
+
+
+def test_tes_config_accepts_empty_tank_and_zero_rate():
+    assert TesConfig(e_max=0.0, e_initial=0.0, e_terminal=0.0, rate_max=0.0).e_max == 0.0
 
 
 def test_tes_config_validation():

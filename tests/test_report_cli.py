@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import re
@@ -326,6 +327,40 @@ DEFAULT_OUTPUT_SHA256 = {
     "profile.svg": "621200860517cccc9d88ce448958c0a4ee9a95e8ddf8721450e31c460c1b901f",
 }
 
+#: (q_stor_mw, e_stor_end_mwh) of each hour of the schedule.csv that `optimize`
+#: writes on the default 3-day scenario, to 10 decimals.
+DEFAULT_SCHEDULE = (
+    (-4.4403301475, 171.1596698525), (-4.1610380822, 166.9986317704),
+    (-0.8604815934, 166.138150177), (9.4618498228, 175.5999999998),
+    (-0.5608386814, 175.0391613184), (0.4915568969, 175.5307182153), (0.0692817847, 175.6),
+    (0.0, 175.6), (0.0, 175.6), (0.0, 175.6), (0.0, 175.6), (0.0, 175.6),
+    (-2.2210744031, 173.3789255969), (-19.9475969934, 153.4313286035), (-31.7, 121.7313286035),
+    (-31.7, 90.0313286035), (-31.7, 58.3313286035), (-21.0301367517, 37.3011918518),
+    (-2.7106982681, 34.5904935838), (15.7675907731, 50.3580843569), (30.1419156431, 80.5),
+    (31.7, 112.2), (31.7, 143.9), (31.7, 175.6), (-6.187914349, 169.412085651),
+    (-5.9849609897, 163.4271246613), (-0.2861872708, 163.1409373904),
+    (6.328604287, 169.4695416774), (-0.0203323417, 169.4492093357),
+    (6.1507906499, 175.5999999856), (-1.7810890311, 173.8189109545),
+    (1.7810890441, 175.5999999986), (-2.6e-09, 175.599999996), (1.5e-09, 175.5999999974),
+    (1.6e-09, 175.599999999), (2e-10, 175.5999999993), (-3.1392362437, 172.4607637555),
+    (-20.4621608963, 151.9986028592), (-29.659290473, 122.3393123862),
+    (-31.6999999925, 90.6393123937), (-31.6999999349, 58.9393124588),
+    (-19.5196521684, 39.4196602904), (-4.009428957, 35.4102313334),
+    (13.3897689064, 48.8000002398), (31.6999997626, 80.5000000024),
+    (31.699999999, 112.2000000014), (31.6999999991, 143.9000000005), (31.6999999995, 175.6),
+    (-6.8589599361, 168.7410400639), (-1.5998922847, 167.1411477793),
+    (8.45873634, 175.5998841193), (-1.5281258775, 174.0717582418),
+    (1.528241756, 175.5999999978), (-1.0032103824, 174.5967896154),
+    (1.0032103841, 175.5999999995), (0.0, 175.5999999995), (1e-10, 175.5999999996),
+    (1e-10, 175.5999999997), (1e-10, 175.5999999999), (0.0, 175.5999999999),
+    (-5.1184802702, 170.4815197297), (-18.72576422, 151.7557555097),
+    (-29.4702458938, 122.2855096159), (-31.6999999994, 90.5855096165),
+    (-30.9787771193, 59.6067324972), (-20.4633908422, 39.143341655),
+    (-3.3199260844, 35.8234155706), (14.6437637423, 50.4671793129),
+    (30.0328206875, 80.5000000004), (31.6999999997, 112.2000000002),
+    (31.6999999999, 143.9000000001), (31.6999999999, 175.6),
+)
+
 #: sha256 of the scenario CSV written by `synth` with its defaults (seed 1,
 #: 3 days). report.csv prints the inputs to 6 decimals only; this pins them
 #: at full precision.
@@ -412,6 +447,15 @@ def test_cli_default_outputs_keep_their_hashes(tmp_path):
         for name, digest in DEFAULT_OUTPUT_SHA256.items():
             assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, \
                 f"{run}/{name}"
+
+
+def test_cli_default_schedule_keeps_its_numbers(default_run):
+    with open(default_run / "schedule.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(DEFAULT_SCHEDULE)
+    for row, (q_stor, e_end) in zip(rows, DEFAULT_SCHEDULE):
+        assert abs(float(row["q_stor_mw"]) - q_stor) <= 1e-8, row
+        assert abs(float(row["e_stor_end_mwh"]) - e_end) <= 1e-8, row
 
 
 def test_cli_default_synth_keeps_its_hash(tmp_path):

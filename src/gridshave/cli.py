@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--samples", required=True, help="CSV with header plr,twb_c,cop")
     p_fit.add_argument("--out", required=True, help="output COP config file")
     p_fit.add_argument("--metrics", help="optional metrics text file")
-    p_fit.add_argument("--cop-floor", type=float, default=0.5)
+    p_fit.add_argument("--cop-floor", type=float, default=CopModel.cop_floor)
 
     p_synth = subs.add_parser("synth", help="generate a synthetic scenario")
     p_synth.add_argument("--out", required=True, help="output scenario CSV")
@@ -89,8 +89,6 @@ def build_parser() -> _Parser:
     p_opt.add_argument("--scenario", required=True)
     p_opt.add_argument("--out", required=True, help="output run directory")
     _add_config_flags(p_opt)
-    p_opt.add_argument("--p-mean-mode", choices=["previous-day", "same-day"],
-                       default="previous-day")
     p_opt.add_argument("--workers", type=int, default=None,
                        help="ignored: the days are solved one after the other")
 
@@ -99,8 +97,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--schedule", required=True, help="schedule CSV to evaluate")
     p_sim.add_argument("--out", required=True)
     _add_config_flags(p_sim, solver=False)
-    p_sim.add_argument("--p-mean-mode", choices=["previous-day", "same-day"],
-                       default="previous-day")
 
     p_rep = subs.add_parser("report", help="re-render outputs from a run directory")
     p_rep.add_argument("--run", required=True, help="run directory with report.csv")
@@ -134,8 +130,7 @@ def _cmd_synth(args) -> int:
 def _cmd_optimize(args) -> int:
     plant, cop_model, tes, opts = _load_configs(args)
     scenario = load_scenario(args.scenario)
-    results = run_days(scenario, plant, cop_model, tes, opts,
-                       p_mean_mode=args.p_mean_mode)
+    results = run_days(scenario, plant, cop_model, tes, opts)
     report = build_report(scenario, results, plant)
     paths = write_run_outputs(report, args.out)
     for line in report.summary_lines():
@@ -149,7 +144,7 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     q_stor, e_stor_end = load_schedule_csv(args.schedule, scenario.timestamps)
     results = evaluate_fixed_schedule(scenario, q_stor, plant, cop_model, tes,
-                                      p_mean_mode=args.p_mean_mode, e_stor_end=e_stor_end)
+                                      e_stor_end=e_stor_end)
     report = build_report(scenario, results, plant)
     paths = write_run_outputs(report, args.out)
     for line in report.summary_lines():

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 
-from .configio import ConfigFile
+from .configio import ConfigFile, ranged
 from .errors import (
     ChillerCapacityError,
     CopDomainError,
@@ -58,16 +58,14 @@ class CopModel(ConfigFile):
     c5: float = -0.01
     twb_min: float = 10.0
     twb_max: float = 30.0
-    cop_floor: float = 0.5
+    # a COP is a positive ratio, so a floor at or below 0 checks nothing
+    cop_floor: float = ranged(0.5, "(0, inf)")
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        # a COP is a positive ratio, so a floor at or below 0 checks nothing
-        if self.cop_floor <= 0.0:
-            raise ValueError(f"cop_floor must be positive, got {self.cop_floor}")
+        super().__post_init__()
+        if self.twb_min > self.twb_max:
+            raise ValueError(
+                f"twb_min must be in (-inf, twb_max={self.twb_max}], got {self.twb_min}")
 
     def coefficients(self) -> tuple[float, ...]:
         return (self.c0, self.c1, self.c2, self.c3, self.c4, self.c5)
@@ -80,26 +78,18 @@ DEFAULT_COP_MODEL = CopModel()
 class TesConfig(ConfigFile):
     """Thermal storage tank limits and boundary conditions."""
 
-    e_max: float = STORAGE_CAPACITY_MWH
-    rate_max: float = STORAGE_RATE_MW
+    e_max: float = ranged(STORAGE_CAPACITY_MWH, "[0, inf)")
+    rate_max: float = ranged(STORAGE_RATE_MW, "[0, inf)")
     e_initial: float = STORAGE_CAPACITY_MWH
     e_terminal: float = STORAGE_CAPACITY_MWH
-    q_ch_max: float = NOMINAL_COOLING_MW
+    q_ch_max: float = ranged(NOMINAL_COOLING_MW, "(0, inf)")
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        tank = f"[0, e_max={self.e_max}]"
-        for name, admissible, interval in (
-                ("e_max", self.e_max >= 0.0, "[0, inf)"),
-                ("rate_max", self.rate_max >= 0.0, "[0, inf)"),
-                ("q_ch_max", self.q_ch_max > 0.0, "(0, inf)"),
-                ("e_initial", 0.0 <= self.e_initial <= self.e_max, tank),
-                ("e_terminal", 0.0 <= self.e_terminal <= self.e_max, tank)):
-            if not admissible:
-                raise ValueError(f"{name} must be in {interval}, got {getattr(self, name)}")
+        super().__post_init__()
+        for name in ("e_initial", "e_terminal"):
+            if not 0.0 <= getattr(self, name) <= self.e_max:
+                raise ValueError(
+                    f"{name} must be in [0, e_max={self.e_max}], got {getattr(self, name)}")
 
 
 DEFAULT_TES = TesConfig()

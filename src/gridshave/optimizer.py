@@ -45,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from operator import add
 
-from .configio import ConfigFile
+from .configio import ConfigFile, ranged
 from .cooling import (
     CopModel,
     StorageSchedule,
@@ -108,17 +108,12 @@ class ScheduleProblem:
 
 @dataclass(frozen=True)
 class SolverOptions(ConfigFile):
-    max_iterations: int = 200           # Newton-step cap of the interior-point solve
-    feasibility_tol: float = 1e-6       # MWh, primal residuals and schedule checks
-    optimality_tol: float = 1e-8        # mean complementarity (MW^2), relative dual residual
-
-    def __post_init__(self):
-        if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
-            raise ValueError(
-                f"max_iterations must be a whole number >= 1, got {self.max_iterations!r}")
-        for name in ("feasibility_tol", "optimality_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+    # Newton-step cap of the interior-point solve
+    max_iterations: int = ranged(200, "[1, inf)")
+    # MWh, primal residuals and schedule checks
+    feasibility_tol: float = ranged(1e-6, "(0, inf)")
+    # mean complementarity (MW^2), relative dual residual
+    optimality_tol: float = ranged(1e-8, "(0, inf)")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from operator import sub
 
-from .configio import ConfigFile
+from .configio import ConfigFile, ranged
 from .errors import ShapeError
 
 
@@ -28,27 +28,20 @@ class PlantConfig(ConfigFile):
     files, such as the component efficiencies of a retired heat balance.
     """
 
-    cap_gt: float = 32.0
-    cap_st: float = 25.0
-    cap_peak: float = 8.0
+    cap_gt: float = ranged(32.0, "(0, inf)")
+    cap_st: float = ranged(25.0, "(0, inf)")
+    cap_peak: float = ranged(8.0, "(0, inf)")
     threshold: float = 57.0
-    eta_cc: float = 0.40
-    eta_peak: float = 0.20
-    peaking_margin_mw: float = 1.0
+    eta_cc: float = ranged(0.40, "(0, 1]")
+    eta_peak: float = ranged(0.20, "(0, 1]")
+    peaking_margin_mw: float = ranged(1.0, "[0, inf)")
 
     def __post_init__(self):
-        if min(self.cap_gt, self.cap_st, self.cap_peak) <= 0:
-            raise ValueError("all capacities must be positive")
+        super().__post_init__()
         if abs(self.threshold - (self.cap_gt + self.cap_st)) > 1e-9:
             raise ValueError(
                 f"threshold {self.threshold} must equal cap_gt + cap_st "
                 f"= {self.cap_gt + self.cap_st}")
-        for name in ("eta_cc", "eta_peak"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name}={v} outside (0, 1]")
-        if self.peaking_margin_mw < 0.0:
-            raise ValueError("peaking_margin_mw must be nonnegative")
 
     @property
     def cap_total(self) -> float:

@@ -156,7 +156,7 @@ def mbe(pred, meas) -> float:
     return 100.0 * sum(map(sub, meas, pred)) / total
 
 
-def fit_cop_model(samples: SampleSet, cop_floor: float = 0.5) -> FitReport:
+def fit_cop_model(samples: SampleSet, cop_floor: float = CopModel.cop_floor) -> FitReport:
     """Least-squares fit of the six-term COP surface.
 
     Solved by one Householder QR of the design matrix (no normal equations);

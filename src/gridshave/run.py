@@ -4,8 +4,7 @@ collect the heuristic and no-storage references.
 Days decouple completely because the tank must return to its terminal state
 at each midnight, so a 72-hour scenario is exactly three independent 24-hour
 problems. The flat target for each day is the previous day's mean no-storage
-generation; the first day (or every day, in same-day mode) uses its own mean
-and is flagged.
+generation; the first day uses its own mean and is flagged "same-day".
 """
 
 from __future__ import annotations
@@ -51,21 +50,15 @@ class DayResult:
 def build_problems(scenario: Scenario,
                    plant: PlantConfig,
                    cop_model: CopModel,
-                   tes: TesConfig,
-                   p_mean_mode: str = "previous-day") -> list[tuple[ScheduleProblem, DayTarget]]:
+                   tes: TesConfig) -> list[tuple[ScheduleProblem, DayTarget]]:
     """One ScheduleProblem per day with the provenance of its flat target."""
-    if p_mean_mode not in ("previous-day", "same-day"):
-        raise ValueError(f"unknown p_mean mode {p_mean_mode!r}")
     days = split_days(scenario)
     no_storage = [no_storage_baseline(day, cop_model, plant, tes) for day in days]
     day_means = [sum(g) / len(g) for g in no_storage]
 
     problems = []
     for k, day in enumerate(days):
-        if p_mean_mode == "previous-day" and k > 0:
-            target, mode = day_means[k - 1], "previous-day"
-        else:
-            target, mode = day_means[k], "same-day"
+        target, mode = (day_means[k - 1], "previous-day") if k else (day_means[0], "same-day")
         problems.append((
             ScheduleProblem(
                 p_base=day.p_base, q_cool=day.q_cool, twb=day.twb,
@@ -88,10 +81,9 @@ def run_days(scenario: Scenario,
              plant: PlantConfig,
              cop_model: CopModel,
              tes: TesConfig,
-             opts: SolverOptions = SolverOptions(),
-             p_mean_mode: str = "previous-day") -> list[DayResult]:
+             opts: SolverOptions = SolverOptions()) -> list[DayResult]:
     """Solve every day of the scenario, one after the other."""
-    problems = build_problems(scenario, plant, cop_model, tes, p_mean_mode)
+    problems = build_problems(scenario, plant, cop_model, tes)
     return _day_results(problems, [solve(p, opts) for p, _ in problems])
 
 
@@ -100,7 +92,6 @@ def evaluate_fixed_schedule(scenario: Scenario,
                             plant: PlantConfig,
                             cop_model: CopModel,
                             tes: TesConfig,
-                            p_mean_mode: str = "previous-day",
                             e_stor_end=None) -> list[DayResult]:
     """Like run_days but with a given schedule instead of an optimized one.
 
@@ -118,7 +109,7 @@ def evaluate_fixed_schedule(scenario: Scenario,
     if e_stor_end is not None and len(e_stor_end) != len(q):
         raise ShapeError(
             f"schedule has {len(q)} rates but {len(e_stor_end)} stored-energy values")
-    problems = build_problems(scenario, plant, cop_model, tes, p_mean_mode)
+    problems = build_problems(scenario, plant, cop_model, tes)
     fixed = []
     for k, (problem, _) in enumerate(problems):
         hours = slice(k * HOURS_PER_DAY, (k + 1) * HOURS_PER_DAY)

@@ -21,9 +21,10 @@ import math
 import operator
 import os
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
+from .configio import check_fields, ranged
 from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power
 from .errors import (
     ChillerCapacityError,
@@ -162,30 +163,24 @@ class SynthParams:
 
     The defaults are tuned so that with the default plant, COP model and
     storage configs the no-storage generation peaks in the mid-60s MW on the
-    hottest day, with a mild overnight valley. `days` below 1 and a nan or
-    infinite float field, and a negative `base_level_mw` or `noise_mw`,
-    raise SynthesisError naming the field.
+    hottest day, with a mild overnight valley. Each `float` and `int` field
+    is checked by `configio.check_fields`: a nan or infinite value, a
+    fractional `days`, `days` below 1 and a negative `base_level_mw` or
+    `noise_mw` raise SynthesisError naming the field.
     """
 
-    days: int = 3
+    days: int = ranged(3, "[1, inf)")
     start: datetime = field(default_factory=lambda: datetime(2023, 6, 12))
-    base_level_mw: float = 27.0
+    base_level_mw: float = ranged(27.0, "[0, inf)")
     base_peak_amp_mw: float = 8.5
     cool_base_mw: float = 66.0
     cool_peak_amp_mw: float = 71.0
     twb_base_c: float = 21.0
     twb_amp_c: float = 4.0
-    noise_mw: float = 0.5
+    noise_mw: float = ranged(0.5, "[0, inf)")
 
     def __post_init__(self):
-        if self.days < 1:
-            raise SynthesisError(f"days must be at least 1, got {self.days}")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise SynthesisError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("base_level_mw", "noise_mw"):
-            if getattr(self, name) < 0.0:
-                raise SynthesisError(f"{name} must be non-negative, got {getattr(self, name)}")
+        check_fields(self, SynthesisError)
 
 
 def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Scenario:

@@ -19,6 +19,7 @@ from gridshave.cooling import (
 )
 from gridshave.errors import (
     ChillerCapacityError,
+    ConfigError,
     CopDomainError,
     DegenerateCopError,
     InfeasibleDischargeError,
@@ -44,14 +45,21 @@ def test_cop_model_rejects_non_finite_field(field, value):
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1e3])
 def test_cop_model_rejects_non_positive_floor(tmp_path, value):
-    message = f"^cop_floor must be positive, got {value}$"
-    with pytest.raises(ValueError, match=message):
+    message = f"cop_floor must be in \\(0, inf\\), got {value}$"
+    with pytest.raises(ValueError, match=f"^{message}"):
         CopModel(cop_floor=value)
     path = tmp_path / "cop.cfg"
     path.write_text(f"c0 = 11.87\nc1 = -8.84\nc2 = -0.17\nc3 = -6.89\nc4 = 0.75\n"
                     f"c5 = -0.01\ntwb_min = 10.0\ntwb_max = 30.0\ncop_floor = {value!r}\n")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}"):
         CopModel.load(str(path))
+
+
+def test_cop_model_rejects_empty_wet_bulb_window():
+    with pytest.raises(ValueError,
+                       match=r"^twb_min must be in \(-inf, twb_max=10\.0\], got 30\.0$"):
+        CopModel(twb_min=30.0, twb_max=10.0)
+    assert CopModel(twb_min=20.0, twb_max=20.0).twb_min == 20.0
 
 
 def test_default_tes_values():

@@ -564,6 +564,31 @@ def test_cli_unknown_flag_exits_1():
     assert cli_main(["optimize", "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_cli_p_mean_mode_flag_is_gone(tmp_path, capsys, command):
+    argv = [command, "--scenario", "day.csv", "--out", str(tmp_path / "run"),
+            "--p-mean-mode", "previous-day"]
+    if command == "simulate":
+        argv += ["--schedule", "schedule.csv"]
+    assert cli_main(argv) == 1
+    assert "unrecognized arguments: --p-mean-mode previous-day" in capsys.readouterr().err
+
+
+def test_cli_empty_wet_bulb_window_names_the_cop_file(tmp_path, capsys):
+    cop_path = tmp_path / "cop.cfg"
+    CopModel(twb_min=10.0, twb_max=30.0).save(str(cop_path))
+    cop_path.write_text(cop_path.read_text().replace("twb_min = 10.0", "twb_min = 30.0")
+                        .replace("twb_max = 30.0", "twb_max = 10.0"))
+    scenario_path = str(tmp_path / "day.csv")
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1"]) == 0
+    capsys.readouterr()
+    assert cli_main(["optimize", "--scenario", scenario_path, "--cop", str(cop_path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {cop_path}: twb_min must be in (-inf, twb_max=10.0], got 30.0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_missing_scenario_exits_1(tmp_path):
     assert cli_main(["optimize", "--scenario", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "run")]) == 1
@@ -582,7 +607,7 @@ def test_cli_row_error_reported(tmp_path, capsys):
 def test_cli_synth_rejects_non_positive_days(tmp_path, capsys, days):
     out = tmp_path / "day.csv"
     assert cli_main(["synth", "--out", str(out), "--days", days]) == 1
-    assert f"error: days must be at least 1, got {days}" in capsys.readouterr().err
+    assert f"error: days must be in [1, inf), got {days}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -603,12 +628,12 @@ _NEGATIVE_SPELLINGS = [
     ("synth", ["--base-mw", "-inf"], "base_level_mw must be finite, got -inf"),
     ("synth", ["--cool-peak-mw", "-Infinity"], "cool_peak_amp_mw must be finite, got -inf"),
     ("synth", ["--days", "-1e3"], "argument --days: invalid int value: '-1e3'"),
-    ("fit", ["--cop-floor", "-1e3"], "cop_floor must be positive, got -1000.0"),
-    ("fit", ["--cop-floor", "-0.0"], "cop_floor must be positive, got -0.0"),
-    ("fit", ["--cop-floor", "0"], "cop_floor must be positive, got 0.0"),
-    ("synth", ["--base-mw", "-1e3"], "base_level_mw must be non-negative, got -1000.0"),
-    ("synth", ["--noise-mw", "-.5E+1"], "noise_mw must be non-negative, got -5.0"),
-    ("synth", ["--days", "-2"], "days must be at least 1, got -2"),
+    ("fit", ["--cop-floor", "-1e3"], "cop_floor must be in (0, inf), got -1000.0"),
+    ("fit", ["--cop-floor", "-0.0"], "cop_floor must be in (0, inf), got -0.0"),
+    ("fit", ["--cop-floor", "0"], "cop_floor must be in (0, inf), got 0.0"),
+    ("synth", ["--base-mw", "-1e3"], "base_level_mw must be in [0, inf), got -1000.0"),
+    ("synth", ["--noise-mw", "-.5E+1"], "noise_mw must be in [0, inf), got -5.0"),
+    ("synth", ["--days", "-2"], "days must be in [1, inf), got -2"),
     ("synth", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
 ]
 
@@ -642,9 +667,9 @@ def test_cli_non_convergence_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("value, message", [
-    ("1.5", "key 'max_iterations' is not an integer: '1.5'"),
-    ("0", "max_iterations must be a whole number >= 1, got 0"),
-])
+    ("1.5", "max_iterations must be a whole number, got 1.5"),
+    ("0", "max_iterations must be in [1, inf), got 0"),
+], ids=["fraction", "zero"])
 def test_cli_invalid_max_iterations_exits_1(tmp_path, capsys, value, message):
     scenario_path = str(tmp_path / "day.csv")
     solver_path = tmp_path / "solver.cfg"
@@ -654,7 +679,7 @@ def test_cli_invalid_max_iterations_exits_1(tmp_path, capsys, value, message):
     capsys.readouterr()
     assert cli_main(["optimize", "--scenario", scenario_path, "--solver", str(solver_path),
                      "--out", str(tmp_path / "run")]) == 1
-    assert message in capsys.readouterr().err
+    assert f"error: {solver_path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -691,6 +716,6 @@ def test_cli_non_finite_config_value_exits_1(tmp_path, capsys, flag, config, key
     capsys.readouterr()
     assert cli_main(["optimize", "--scenario", scenario_path, flag, str(config_path),
                      "--out", str(tmp_path / "run")]) == 1
-    assert f"error: {config_path}: key {key!r} is not finite: {value!r}" in \
+    assert f"error: {config_path}: {key} must be finite, got {float(value)}" in \
         capsys.readouterr().err
     assert not (tmp_path / "run").exists()

@@ -196,7 +196,7 @@ def test_synthetic_capacity_overrun_is_synthesis_error():
 
 @pytest.mark.parametrize("days", [0, -2])
 def test_synthetic_rejects_non_positive_days(days):
-    with pytest.raises(SynthesisError, match=f"days must be at least 1, got {days}"):
+    with pytest.raises(SynthesisError, match=f"days must be in \\[1, inf\\), got {days}"):
         generate_synthetic(SynthParams(days=days), seed=1)
 
 
@@ -212,7 +212,7 @@ def test_synth_params_reject_non_finite_field(name, value):
 
 @pytest.mark.parametrize("name", ["base_level_mw", "noise_mw"])
 def test_synth_params_reject_negative_level(name):
-    with pytest.raises(SynthesisError, match=f"^{name} must be non-negative, got -5.0$"):
+    with pytest.raises(SynthesisError, match=f"^{name} must be in \\[0, inf\\), got -5.0$"):
         SynthParams(days=1, **{name: -5.0})
 
 

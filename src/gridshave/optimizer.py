@@ -27,10 +27,11 @@ corrector), and nothing beyond numpy is needed. That loop lives in
 everything else here is plain per-hour Python on `array('d')` series. The
 chiller model is `cooling`'s: `_newton._HourlyCost` takes the per-hour COP
 coefficients once per solve (`cop_coefficients`) and the COP from
-`cop_values`, and p_ch is validated only by `chiller_power`. The start, the
-solver point and the operator heuristic are each checked once
-(`check_schedule`) and scored by one validated `chiller_power` pass; the
-best feasible one is returned.
+`cop_values`, and p_ch is validated only by `chiller_power`. The start
+(`feasible_start`) exists exactly when the day is feasible and passes
+`check_schedule` by construction; the solver point and the operator
+heuristic are each checked once. Each of the three is scored by one
+validated `chiller_power` pass, and the best feasible one is returned.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 
 from .configio import ConfigFile, ranged
 from .cooling import (
@@ -128,7 +129,7 @@ class OptimalSchedule:
     converged: bool
     grid_error_bound: float | None = None
     message: str = ""
-    heuristic: StorageSchedule | None = None   # operator heuristic (24-hour days)
+    heuristic_generation: array | None = None   # MW per hour, operator heuristic (24-hour days)
 
 
 def hour_bounds(problem: ScheduleProblem) -> tuple[array, array]:
@@ -245,35 +246,40 @@ def hessian_diagonal(q_stor, problem: ScheduleProblem):
 
 
 def feasible_start(problem: ScheduleProblem, lo, hi) -> array:
-    """Zero schedule, or a uniform ramp when the boundary states differ."""
-    T = problem.horizon
-    tes = problem.tes
-    delta = tes.e_terminal - tes.e_initial
-    step = 0.0
-    if abs(delta) > 1e-12:
-        step = delta / T
-        if abs(step) > tes.rate_max + 1e-12:
-            raise InfeasibleStartError(
-                f"cannot move stored energy by {delta:.2f} MWh in {T} h at "
-                f"rate limit {tes.rate_max} MW")
-    for t in range(T):
-        if not lo[t] - 1e-12 <= step <= hi[t] + 1e-12:
-            raise InfeasibleStartError(
-                f"hour {t}: starting schedule violates the hourly feasible interval")
-    return array("d", [step]) * T
+    """The ramp of delta = e_terminal - e_initial over T hours, each hour's
+    rate capped at its interval edge in the direction of delta and the rest
+    spread evenly over the other hours (water-filling). So the stored energy
+    moves monotonically between the two admissible boundary states. Raises
+    InfeasibleStartError when the edges sum to less than |delta|, which is
+    exactly when no schedule bridges the boundary states."""
+    delta = problem.tes.e_terminal - problem.tes.e_initial
+    room = [max(h if delta >= 0.0 else -l, 0.0) for l, h in zip(lo, hi)]
+    need, total = abs(delta), sum(room)
+    if total < need:
+        raise InfeasibleStartError(
+            f"the boundary states need {need:.4f} MWh of "
+            f"{'discharge' if delta < 0.0 else 'charge'}, "
+            f"but the hourly intervals admit at most {total:.4f} MWh")
+    level = math.inf   # no level below the largest room: every hour takes its room
+    for n, r in zip(range(len(room), 0, -1), sorted(room)):
+        if r >= need / n:
+            level = need / n
+            break
+        need -= r
+    return array("d", (math.copysign(min(level, r), delta) for r in room))
 
 
 def solve(problem: ScheduleProblem,
           opts: SolverOptions = SolverOptions()) -> OptimalSchedule:
     """Minimize the flatness objective over feasible storage schedules.
 
-    One interior-point Newton solve (`_newton._interior_point`) from the
-    zero/ramp start, capped at `max_iterations` steps. The candidates are the
-    start, the solver point and (for 24-hour problems) the operator heuristic; each
-    is checked once with `check_schedule` and scored by one validated
-    `chiller_power` pass, and the best one that passes is returned, so the
-    result never loses to either reference schedule. `converged` is True
-    when the dual and primal residuals and the mean complementarity all fell
+    One interior-point Newton solve (`_newton._interior_point`) from
+    `feasible_start`, capped at `max_iterations` steps. The start is feasible
+    by construction; the solver point and (for 24-hour problems) the
+    operator heuristic are each checked once with `check_schedule`. Each is
+    scored by one validated `chiller_power` pass, and the best feasible one
+    is returned with the heuristic's generation. `converged` is True when
+    the dual and primal residuals and the mean complementarity all fell
     below tolerance; `message` records them. The solver point reaches
     e_terminal exactly, up to rounding, as its variables are the stored
     energies between the fixed boundary states.
@@ -285,27 +291,26 @@ def solve(problem: ScheduleProblem,
     lo, hi = hour_bounds(problem)
     x0 = feasible_start(problem, lo, hi)
     x, iterations, converged, message = _interior_point(problem, lo, hi, x0, opts)
-    candidates = [StorageSchedule.from_rates(x0, tes), StorageSchedule.from_rates(x, tes)]
-    heur = None
-    if problem.horizon == HOURS_PER_DAY:
-        heur = operator_heuristic(problem, bounds=(lo, hi))
-        candidates.append(heur)
-    # a capped solve may stop short of the stored-energy limits
-    best, rejected = None, []
-    for schedule in candidates:
-        violations = check_schedule(schedule, tes, tol=opts.feasibility_tol)
-        if violations:
-            rejected.append(violations)
-            continue
+
+    def scored(schedule):
         p_ch, generation = _chiller_pass(schedule.q_stor, problem)
-        obj = flatness(generation, problem.p_mean)
-        if best is None or obj < best[0]:   # the first of equal objectives wins
-            best = obj, schedule, p_ch, generation
-    if best is None:
-        raise InfeasibleStartError(
-            "every candidate schedule is infeasible; the start: "
-            + "; ".join(str(v) for v in rejected[0]))
-    best_obj, schedule, p_ch, generation = best
+        return flatness(generation, problem.p_mean), schedule, p_ch, generation
+
+    # the start passes check_schedule by construction; a capped solve may stop
+    # short of the stored-energy limits
+    tol = opts.feasibility_tol
+    point = StorageSchedule.from_rates(x, tes)
+    candidates = [scored(StorageSchedule.from_rates(x0, tes))]
+    if not check_schedule(point, tes, tol=tol):
+        candidates.append(scored(point))
+    heuristic_generation = None
+    if problem.horizon == HOURS_PER_DAY:
+        heuristic = scored(operator_heuristic(problem, bounds=(lo, hi)))
+        heuristic_generation = heuristic[3]
+        if not check_schedule(heuristic[1], tes, tol=tol):
+            candidates.append(heuristic)
+    # the first of equal objectives wins
+    best_obj, schedule, p_ch, generation = min(candidates, key=itemgetter(0))
     return OptimalSchedule(
         schedule=schedule,
         objective=best_obj,
@@ -314,7 +319,7 @@ def solve(problem: ScheduleProblem,
         iterations=iterations,
         converged=converged,
         message=message,
-        heuristic=heur,
+        heuristic_generation=heuristic_generation,
     )
 
 

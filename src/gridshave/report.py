@@ -103,7 +103,7 @@ def build_report(scenario: Scenario, day_results: list[DayResult],
         "q_steam_mw": scenario.q_s_c,
         "twb_c": scenario.twb,
         "no_storage_mw": _joined(d.target.no_storage for d in day_results),
-        "baseline_mw": _joined(d.heuristic_generation for d in day_results),
+        "baseline_mw": _joined(d.optimal.heuristic_generation for d in day_results),
         "optimized_mw": _joined(d.optimal.generation for d in day_results),
         "q_stor_mw": _joined(d.optimal.schedule.q_stor for d in day_results),
         "e_stor_end_mwh": _joined(d.optimal.schedule.e_stor[1:] for d in day_results),

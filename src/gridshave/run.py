@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from operator import sub
 
 from .cooling import CopModel, StorageSchedule, TesConfig, check_schedule
 from .errors import InfeasibleScheduleError, ShapeError
@@ -19,8 +18,8 @@ from .optimizer import (
     OptimalSchedule,
     ScheduleProblem,
     SolverOptions,
+    _chiller_pass,
     flatness,
-    generation_profile,
     operator_heuristic,
     solve,
 )
@@ -39,12 +38,12 @@ class DayTarget:
 @dataclass(frozen=True)
 class DayResult:
     """One day of a run: its problem (which holds the flat target p_mean),
-    where that target came from, the schedule evaluated, and the generation
-    under the operator heuristic. The list position is the day's index."""
+    where that target came from, and the schedule evaluated, which carries
+    the generation under the operator heuristic. The list position is the
+    day's index."""
     problem: ScheduleProblem
     target: DayTarget
     optimal: OptimalSchedule
-    heuristic_generation: array
 
 
 def build_problems(scenario: Scenario,
@@ -68,23 +67,14 @@ def build_problems(scenario: Scenario,
     return problems
 
 
-def _day_results(problems: list[tuple[ScheduleProblem, DayTarget]],
-                 schedules: list[OptimalSchedule]) -> list[DayResult]:
-    """Pair each day's schedule with the generation of the operator heuristic
-    it carries."""
-    return [DayResult(problem, target, optimal,
-                      generation_profile(optimal.heuristic.q_stor, problem))
-            for (problem, target), optimal in zip(problems, schedules)]
-
-
 def run_days(scenario: Scenario,
              plant: PlantConfig,
              cop_model: CopModel,
              tes: TesConfig,
              opts: SolverOptions = SolverOptions()) -> list[DayResult]:
     """Solve every day of the scenario, one after the other."""
-    problems = build_problems(scenario, plant, cop_model, tes)
-    return _day_results(problems, [solve(p, opts) for p, _ in problems])
+    return [DayResult(problem, target, solve(problem, opts))
+            for problem, target in build_problems(scenario, plant, cop_model, tes)]
 
 
 def evaluate_fixed_schedule(scenario: Scenario,
@@ -109,9 +99,8 @@ def evaluate_fixed_schedule(scenario: Scenario,
     if e_stor_end is not None and len(e_stor_end) != len(q):
         raise ShapeError(
             f"schedule has {len(q)} rates but {len(e_stor_end)} stored-energy values")
-    problems = build_problems(scenario, plant, cop_model, tes)
     fixed = []
-    for k, (problem, _) in enumerate(problems):
+    for k, (problem, target) in enumerate(build_problems(scenario, plant, cop_model, tes)):
         hours = slice(k * HOURS_PER_DAY, (k + 1) * HOURS_PER_DAY)
         day_q = q[hours]
         schedule = StorageSchedule.from_rates(day_q, tes)
@@ -122,11 +111,11 @@ def evaluate_fixed_schedule(scenario: Scenario,
             more = f"; and {len(violations) - 1} more" if len(violations) > 1 else ""
             raise InfeasibleScheduleError(
                 f"day {k}: fixed schedule infeasible: {violations[0]}{more}")
-        generation = generation_profile(day_q, problem)
-        fixed.append(OptimalSchedule(
+        p_ch, generation = _chiller_pass(day_q, problem)
+        fixed.append(DayResult(problem, target, OptimalSchedule(
             schedule=schedule, objective=flatness(generation, problem.p_mean),
-            p_ch=array("d", map(sub, generation, problem.p_base)), generation=generation,
+            p_ch=p_ch, generation=generation,
             iterations=0, converged=True, message="fixed schedule",
-            heuristic=operator_heuristic(problem),
-        ))
-    return _day_results(problems, fixed)
+            heuristic_generation=_chiller_pass(operator_heuristic(problem).q_stor, problem)[1],
+        )))
+    return fixed

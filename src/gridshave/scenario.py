@@ -22,7 +22,7 @@ import operator
 import os
 from array import array
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, time, timedelta
 
 from .configio import check_fields, ranged
 from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power
@@ -81,11 +81,14 @@ class Scenario:
 
 
 def split_days(scenario: Scenario) -> list[Scenario]:
-    """Cut a scenario into midnight-to-midnight days of 24 hours."""
+    """Cut a scenario into midnight-to-midnight days of 24 hours; its first
+    hour must start at 00:00."""
     n = len(scenario)
     if n % HOURS_PER_DAY != 0:
         raise ShapeError(
             f"scenario length {n} is not a multiple of {HOURS_PER_DAY} hours")
+    if n and scenario.timestamps[0].time() != time():
+        raise ShapeError(f"scenario starts at {scenario.timestamps[0].isoformat()}, not at 00:00")
     return [scenario.slice_hours(i, i + HOURS_PER_DAY)
             for i in range(0, n, HOURS_PER_DAY)]
 

@@ -17,6 +17,7 @@ import gridshave.optimizer
 from gridshave.cooling import (
     DEFAULT_COP_MODEL,
     CopModel,
+    StorageSchedule,
     TesConfig,
     Violation,
     check_schedule,
@@ -34,6 +35,7 @@ from gridshave.optimizer import (
     SolverOptions,
     dp_oracle,
     feasible_start,
+    flatness,
     generation_profile,
     gradient,
     hessian_diagonal,
@@ -230,6 +232,21 @@ def test_solve_ramp_start_when_boundaries_differ():
     assert res.schedule.e_stor[-1] == pytest.approx(150.0, abs=1e-6)
 
 
+def test_solve_charges_a_day_the_uniform_ramp_cannot():
+    # a light day: some hours (hour 15 among them) admit less charge than the
+    # ramp's 175.0 / 24 MWh, though the whole day admits far more
+    scenario = generate_synthetic(SynthParams(days=1, base_level_mw=15.0,
+                                              cool_peak_amp_mw=84.0), seed=1)
+    tes = TesConfig(e_initial=0.0, e_terminal=175.0)
+    problem = build_problems(scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, tes)[0][0]
+    lo, hi = hour_bounds(problem)
+    assert min(hi) < 175.0 / 24 < sum(hi)
+    res = solve(problem)
+    assert check_schedule(res.schedule, tes) == []
+    oracle = dp_oracle(problem, action_step=0.5, soc_step=0.5)
+    assert res.objective <= oracle.objective * (1.0 + 1e-8)
+
+
 def test_solve_iteration_cap_returns_best_start(first_day_problem):
     res = solve(first_day_problem, SolverOptions(max_iterations=1))
     assert res.converged is False
@@ -267,7 +284,7 @@ def test_solve_properties_on_random_days(problem):
     res = solve(problem, opts)
     assert check_schedule(res.schedule, problem.tes, tol=opts.feasibility_tol) == []
     assert res.objective <= objective(np.zeros(24), problem)
-    assert res.objective <= objective(res.heuristic.q_stor, problem)
+    assert res.objective <= flatness(res.heuristic_generation, problem.p_mean)
     assert res.converged
     residuals = _residuals(res.message)
     assert residuals["dual"] <= opts.optimality_tol
@@ -402,12 +419,16 @@ def test_solve_counts_its_work(first_day_problem, monkeypatch):
     assert scalar.call_count == 0
 
 
-def test_solve_raises_when_no_candidate_passes_the_checks(first_day_problem, monkeypatch):
-    limit = Violation("terminal_soc", -1, 0.0, first_day_problem.tes.e_terminal)
+def test_solve_returns_the_start_when_every_other_candidate_is_rejected(first_day_problem,
+                                                                        monkeypatch):
+    p = first_day_problem
+    limit = Violation("terminal_soc", -1, 0.0, p.tes.e_terminal)
     monkeypatch.setattr(gridshave.optimizer, "check_schedule", lambda *args, **kw: [limit])
-    with pytest.raises(InfeasibleStartError, match="^every candidate schedule is infeasible; "
-                                                   "the start: terminal_soc at hour -1"):
-        solve(first_day_problem)
+    res = solve(p)
+    assert res.schedule.q_stor.tolist() == [0.0] * 24
+    assert res.objective == objective(np.zeros(24), p)
+    # the heuristic is scored though it lost the check
+    assert res.heuristic_generation == generation_profile(operator_heuristic(p).q_stor, p)
 
 
 @pytest.mark.parametrize("c3", [0.0, 1e-320, 1e-300, -1e-300, 1e-12, -1e-12])
@@ -649,6 +670,50 @@ def test_heuristic_requires_24_hours():
 def test_feasible_start_zero_when_boundaries_equal(first_day_problem):
     lo, hi = hour_bounds(first_day_problem)
     assert np.array_equal(feasible_start(first_day_problem, lo, hi), np.zeros(24))
+
+
+@st.composite
+def start_cases(draw):
+    """(tes, lo, hi): boundary states in [0, e_max] and hourly intervals
+    lo <= 0 <= hi inside the rate box, zero-width hours and a zero rate
+    limit included; in one case of four every interval is the whole rate box."""
+    T = draw(st.integers(2, 30))
+    rate_max = draw(st.sampled_from([0.0, 31.7]) | st.floats(0.0, 40.0))
+    e_max = draw(st.just(175.6) | st.floats(0.0, 400.0))
+    level = st.floats(0.0, e_max) | st.sampled_from([0.0, e_max])
+    tes = TesConfig(e_max=e_max, rate_max=rate_max,
+                    e_initial=draw(level), e_terminal=draw(level))
+    if draw(st.integers(0, 3)) == 0:
+        return tes, [-rate_max] * T, [rate_max] * T
+    share = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    lo = [-rate_max * draw(share) for _ in range(T)]
+    hi = [rate_max * draw(share) for _ in range(T)]
+    return tes, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(start_cases())
+def test_feasible_start_exists_exactly_when_the_intervals_bridge_the_states(case):
+    tes, lo, hi = case
+    T = len(lo)
+    problem = _constant_problem(T=T, tes=tes)
+    delta = tes.e_terminal - tes.e_initial
+    rooms = [max(h, 0.0) if delta >= 0.0 else max(-l, 0.0) for l, h in zip(lo, hi)]
+    if sum(rooms) < abs(delta):
+        message = (f"the boundary states need {abs(delta):.4f} MWh of "
+                   f"{'discharge' if delta < 0.0 else 'charge'}, but the hourly "
+                   f"intervals admit at most {sum(rooms):.4f} MWh")
+        with pytest.raises(InfeasibleStartError, match=f"^{re.escape(message)}$"):
+            feasible_start(problem, lo, hi)
+        return
+    start = feasible_start(problem, lo, hi)
+    assert all(l <= x <= h for l, x, h in zip(lo, start, hi))
+    assert abs(sum(start) - delta) <= 1e-9
+    assert check_schedule(StorageSchedule.from_rates(start, tes), tes) == []
+    if delta == 0.0:
+        assert start.tolist() == [0.0] * T
+    if all(l <= delta / T <= h for l, h in zip(lo, hi)):
+        assert start.tolist() == [delta / T] * T
 
 
 def test_schedule_problem_validation():

@@ -4,15 +4,26 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import gridshave.cooling
 import gridshave.optimizer
 import gridshave.run
+import gridshave.scenario
 from gridshave.cli import cli_main
-from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, cop_values
+from gridshave.cooling import (
+    DEFAULT_COP_MODEL,
+    DEFAULT_TES,
+    CopModel,
+    StorageSchedule,
+    TesConfig,
+    check_schedule,
+    cop_values,
+)
 from gridshave.errors import InfeasibleScheduleError, ShapeError
 from gridshave.optimizer import SolverOptions, objective, solve
 from gridshave.plant import DEFAULT_PLANT, PlantConfig, fuel_savings
@@ -26,7 +37,14 @@ from gridshave.report import (
     write_run_outputs,
 )
 from gridshave.run import build_problems, evaluate_fixed_schedule, run_days
-from gridshave.scenario import no_storage_baseline, split_days
+from gridshave.scenario import (
+    SynthParams,
+    generate_synthetic,
+    load_scenario,
+    no_storage_baseline,
+    split_days,
+    write_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +158,19 @@ def test_days_split_and_baselined_once(monkeypatch, synth_scenario, run_results)
     baseline = mock.Mock(wraps=gridshave.run.no_storage_baseline)
     monkeypatch.setattr(gridshave.run, "split_days", split)
     monkeypatch.setattr(gridshave.run, "no_storage_baseline", baseline)
+    # one validated chiller pass per schedule: the baseline and, in a solve,
+    # the start, the solver point and the heuristic, or the fixed schedule
+    # and the heuristic
+    validating = mock.Mock(wraps=gridshave.cooling.chiller_power)
+    monkeypatch.setattr(gridshave.optimizer, "chiller_power", validating)
+    monkeypatch.setattr(gridshave.scenario, "chiller_power", validating)
     run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
     assert (split.call_count, baseline.call_count) == (1, 3)
+    assert validating.call_count == 12
     q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
     evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
     assert (split.call_count, baseline.call_count) == (2, 6)
+    assert validating.call_count == 12 + 9
 
 
 def test_day_results_carry_each_days_baseline(synth_scenario, run_results):
@@ -484,6 +510,38 @@ def test_cli_workers_flag_is_ignored(tmp_path):
     for name in ("schedule.csv", "report.csv", "profile.svg", "summary.txt"):
         assert (tmp_path / "workers" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes()
+
+
+def test_cli_optimize_charges_a_day_the_uniform_ramp_cannot(tmp_path, capsys):
+    scenario_path, tes_path = str(tmp_path / "day.csv"), str(tmp_path / "tes.cfg")
+    assert cli_main(["synth", "--out", scenario_path, "--days", "1",
+                     "--base-mw", "15", "--cool-peak-mw", "84"]) == 0
+    tes = TesConfig(e_initial=0.0, e_terminal=175.6)
+    tes.save(tes_path)
+    out = tmp_path / "run"
+    assert cli_main(["optimize", "--scenario", scenario_path, "--tes", tes_path,
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+    timestamps = load_scenario(scenario_path).timestamps
+    rates, stored = load_schedule_csv(str(out / "schedule.csv"), timestamps)
+    schedule = StorageSchedule(rates, [tes.e_initial, *stored])
+    assert check_schedule(schedule, tes) == []
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_cli_scenario_not_starting_at_midnight_exits_1(tmp_path, capsys, command):
+    scenario = generate_synthetic(SynthParams(days=1, start=datetime(2023, 6, 12, 6)), seed=1)
+    scenario_path, schedule = str(tmp_path / "dawn.csv"), tmp_path / "idle.csv"
+    write_scenario(scenario, scenario_path)
+    # an idle schedule stamped with the scenario's hours
+    rows = [f"{ts.isoformat()},0.0,{DEFAULT_TES.e_initial!r}" for ts in scenario.timestamps]
+    schedule.write_text("timestamp,q_stor_mw,e_stor_end_mwh\n" + "\n".join(rows) + "\n")
+    args = [command, "--scenario", scenario_path, "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        args += ["--schedule", str(schedule)]
+    assert cli_main(args) == 1
+    assert "error: scenario starts at 2023-06-12T06:00:00, not at 00:00" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_infeasible_schedule_exits_1(tmp_path, capsys):

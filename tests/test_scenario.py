@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshave.cooling import DEFAULT_COP_MODEL, chiller_power
+from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, chiller_power
 from gridshave.errors import (
     ChillerCapacityError,
     CopDomainError,
@@ -21,6 +21,7 @@ from gridshave.errors import (
 from gridshave.regression import SAMPLES_HEADER, load_samples
 from gridshave.report import REPORT_HEADER, SCHEDULE_HEADER, load_report_table, load_schedule_csv
 from gridshave.plant import DEFAULT_PLANT
+from gridshave.run import build_problems, evaluate_fixed_schedule
 from gridshave.scenario import (
     BELL,
     DAY_SCALE,
@@ -406,3 +407,18 @@ def test_split_days(synth_scenario):
 def test_split_days_rejects_partial_days():
     with pytest.raises(ShapeError):
         split_days(_toy_scenario(70))
+
+
+@pytest.mark.parametrize("start", [datetime(2023, 6, 12, 6), datetime(2023, 6, 12, 0, 30)])
+def test_split_days_rejects_a_first_hour_off_midnight(start):
+    # days are cut every 24 rows, so an off-midnight start would move the
+    # tank's return to e_terminal, and every phase of the heuristic, with it
+    scenario = _toy_scenario(48, start=start)
+    with pytest.raises(ShapeError, match=f"^scenario starts at {start.isoformat()}, "
+                                         "not at 00:00$"):
+        split_days(scenario)
+    with pytest.raises(ShapeError, match="not at 00:00$"):
+        build_problems(scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
+    with pytest.raises(ShapeError, match="not at 00:00$"):
+        evaluate_fixed_schedule(scenario, [0.0] * 48, DEFAULT_PLANT, DEFAULT_COP_MODEL,
+                                DEFAULT_TES)

@@ -13,20 +13,26 @@ floor. Capacity is linear and the COP surface quadratic in PLR, so both
 reduce to per-hour intervals on q_stor (`hour_bounds`).
 
 Each hour's cost depends on that hour's rate alone, so the Hessian in the
-rates is diagonal and known in closed form (`hessian_diagonal`). `solve`
-uses this structure in a primal-dual interior-point Newton method with
-Mehrotra's predictor-corrector (Boyd & Vandenberghe, Convex Optimization,
-ch. 11; Mehrotra 1992) over the stored energies e(1..T-1) between the fixed
-e(0) = e_initial and e(T) = e_terminal. A rate is a difference of two
-energies, so the terminal state holds by construction, a tank limit is a
-bound on one variable, and there is no equality constraint. Each step solves
-two linear systems of at most (T-1) x (T-1) with numpy (predictor and
-corrector), and nothing beyond numpy is needed. That loop lives in
-`_newton`, the one module that imports numpy at its top; `solve`,
-`gradient`, `hessian_diagonal` and `dp_oracle` import it when called, and
-everything else here is plain per-hour Python on `array('d')` series. The
-chiller model is `cooling`'s: `_newton._HourlyCost` takes the per-hour COP
-coefficients once per solve (`cop_coefficients`) and the COP from
+rates is diagonal and known in closed form (`hessian_diagonal`), and the
+problem is separable convex under nested lower and upper bounds on the
+partial sums of the rates: the tank limits (Vidal, Gribel & Jaillet,
+"Separable convex optimization with nested lower and upper constraints",
+INFORMS J. Optim. 1(1), 2019). At its optimum every rate off its interval's
+edges sits where its marginal cost equals one level lam, and lam changes
+only across stored-energy states where the tank is full (it rises) or empty
+(it falls). `solve` takes Newton steps on each hour's quadratic model and
+solves each model exactly with that structure: the previous step's full and
+empty states and clipped hours give one closed-form level per segment, a
+guess that breaks an optimality condition is repaired, and a taut-string
+sweep takes over where the repair does not settle. Each step is backtracked
+on the true flatness, so every iterate is feasible. That loop lives in
+`_levels`, which `solve`, `gradient`, `hessian_diagonal` and `dp_oracle`
+import when called, so importing gridshave compiles none of it. It is plain
+per-hour Python on `array('d')` series and lists, and no command loads
+numpy: `gradient`, `hessian_diagonal` and `dp_oracle` evaluate the same
+per-hour derivatives (`_levels.hour_terms`) on numpy arrays and import
+numpy when called. The chiller model is `cooling`'s: the per-hour COP
+coefficients come once per solve from `cop_coefficients` and the COP from
 `cop_values`, and p_ch is validated only by `chiller_power`. The start
 (`feasible_start`) exists exactly when the day is feasible and passes
 `check_schedule` by construction; the solver point and the operator
@@ -109,11 +115,11 @@ class ScheduleProblem:
 
 @dataclass(frozen=True)
 class SolverOptions(ConfigFile):
-    # Newton-step cap of the interior-point solve
+    # Newton-step cap of the solve
     max_iterations: int = ranged(200, "[1, inf)")
     # MWh, primal residuals and schedule checks
     feasibility_tol: float = ranged(1e-6, "(0, inf)")
-    # mean complementarity (MW^2), relative dual residual
+    # relative dual residual and complementarity of the solve's certificate
     optimality_tol: float = ranged(1e-8, "(0, inf)")
 
 
@@ -137,7 +143,10 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[array, array]:
 
     cop(plr) at fixed twb is quadratic in plr, so {plr in [0, 1]: cop >=
     floor} is a union of at most two intervals; each hour keeps the one
-    holding its zero-storage point plr_ref = q_cool / q_ch_max. Raises
+    holding its zero-storage point plr_ref = q_cool / q_ch_max.
+    `chiller_power` accepts q_cool + lo and q_cool + hi: an edge the floor
+    sets, where the COP evaluates to the floor up to rounding, moves inward
+    to the nearest float at which the COP exceeds the floor. Raises
     InfeasibleStartError naming the first hour whose demand is outside the
     chiller range, whose zero-storage point breaks the floor, or whose
     interval is empty.
@@ -150,8 +159,8 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[array, array]:
             raise InfeasibleStartError(
                 f"hour {t}: cooling demand {q_cool} MW outside [0, {q_max}] MW")
         plr_ref = q_cool / q_max
-        b, c = cop_coefficients(twb, m)
-        if cop_values(plr_ref, twb, m, (b, c)) <= floor:
+        coefficients = b, c = cop_coefficients(twb, m)
+        if cop_values(plr_ref, twb, m, coefficients) <= floor:
             raise InfeasibleStartError(
                 f"hour {t}: zero-storage operating point violates the COP floor (COP at "
                 f"plr={plr_ref:.4f}, twb={twb:.2f} is at or below the floor)")
@@ -179,13 +188,31 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[array, array]:
                     plr_hi = min(1.0, lo_root)
                 else:
                     plr_lo = max(0.0, hi_root)
-        lo_t = max(-rate_max, plr_lo * q_max - q_cool)
-        hi_t = min(rate_max, plr_hi * q_max - q_cool)
+        lo_t, hi_t = plr_lo * q_max - q_cool, plr_hi * q_max - q_cool
+        # only a root sets an edge where the COP may evaluate to the floor
+        if plr_lo > 0.0 and lo_t > -rate_max:
+            lo_t = _inside_floor(lo_t, math.inf, q_cool, twb, m, coefficients, q_max)
+        if plr_hi < 1.0 and hi_t < rate_max:
+            hi_t = _inside_floor(hi_t, -math.inf, q_cool, twb, m, coefficients, q_max)
+        lo_t, hi_t = max(-rate_max, lo_t), min(rate_max, hi_t)
         if lo_t > hi_t:
             raise InfeasibleStartError(f"hour {t}: empty feasible storage-rate interval")
         lo.append(lo_t)
         hi.append(hi_t)
     return lo, hi
+
+
+def _inside_floor(edge, inward, q_cool, twb, model, coefficients, q_max) -> float:
+    """The rate edge moved towards `inward` (+inf or -inf) by the fewest
+    floats that make `chiller_power`'s COP at q_cool + edge exceed the
+    floor, in `chiller_power`'s arithmetic; each move steps the chiller
+    output q_cool + edge, as a step of edge alone may not change it."""
+    while cop_values(min(max((q_cool + edge) / q_max, 0.0), 1.0), twb, model,
+                     coefficients) <= model.cop_floor:
+        moved = math.nextafter(q_cool + edge, inward) - q_cool
+        progressed = moved > edge if inward > 0.0 else moved < edge
+        edge = moved if progressed else math.nextafter(edge, inward)
+    return edge
 
 
 def _checked_rates(q_stor, problem: ScheduleProblem) -> array:
@@ -218,20 +245,31 @@ def objective(q_stor, problem: ScheduleProblem) -> float:
     return flatness(generation_profile(q_stor, problem), problem.p_mean)
 
 
-def _validated_cost(q_stor, problem: ScheduleProblem):
-    """(cost terms, gradient) at q_stor after the checks of `chiller_power`."""
-    from ._newton import _HourlyCost
+def _array_terms(q_stor, problem: ScheduleProblem):
+    """`_levels.hour_terms` of every hour at once, on numpy arrays; this
+    loads numpy."""
+    import numpy as np
 
+    from ._levels import hour_terms
+
+    twb = np.asarray(problem.twb)
+    return hour_terms(np.asarray(q_stor, dtype=float), np.asarray(problem.q_cool),
+                      np.asarray(problem.p_base), twb,
+                      cop_coefficients(twb, problem.cop_model), problem)
+
+
+def _validated_terms(q_stor, problem: ScheduleProblem):
+    """`_array_terms` at q_stor after the checks of `chiller_power`."""
     q = _checked_rates(q_stor, problem)
     _chiller_pass(q, problem)
-    cost = _HourlyCost(problem)
-    return cost, cost.gradient(q)
+    return _array_terms(q, problem)
 
 
 def gradient(q_stor, problem: ScheduleProblem):
     """Analytic d(objective)/d(q_stor), matching central finite differences;
     a numpy array, as this loads numpy."""
-    _, grad = _validated_cost(q_stor, problem)
+    r, dp, _ = _validated_terms(q_stor, problem)
+    grad = 2.0 * r * dp
     for t, g in enumerate(grad):
         if not math.isfinite(g):
             raise FloatingPointError(f"non-finite gradient component at hour {t}")
@@ -241,8 +279,8 @@ def gradient(q_stor, problem: ScheduleProblem):
 def hessian_diagonal(q_stor, problem: ScheduleProblem):
     """Analytic d2(objective)/d(q_stor)^2, a numpy array; the Hessian is
     diagonal because each hour's cost depends on that hour's rate alone."""
-    cost, _ = _validated_cost(q_stor, problem)
-    return cost.hessian()
+    r, dp, d2p = _validated_terms(q_stor, problem)
+    return 2.0 * (dp * dp + r * d2p)
 
 
 def feasible_start(problem: ScheduleProblem, lo, hi) -> array:
@@ -273,24 +311,28 @@ def solve(problem: ScheduleProblem,
           opts: SolverOptions = SolverOptions()) -> OptimalSchedule:
     """Minimize the flatness objective over feasible storage schedules.
 
-    One interior-point Newton solve (`_newton._interior_point`) from
-    `feasible_start`, capped at `max_iterations` steps. The start is feasible
-    by construction; the solver point and (for 24-hour problems) the
-    operator heuristic are each checked once with `check_schedule`. Each is
-    scored by one validated `chiller_power` pass, and the best feasible one
-    is returned with the heuristic's generation. `converged` is True when
-    the dual and primal residuals and the mean complementarity all fell
-    below tolerance; `message` records them. The solver point reaches
-    e_terminal exactly, up to rounding, as its variables are the stored
-    energies between the fixed boundary states.
-    Deterministic for identical inputs and options.
+    Newton steps from `feasible_start` (`_levels.newton_levels`), capped at
+    `max_iterations`: each minimizes every hour's quadratic model exactly
+    over the rate intervals, the tank limits and the terminal state, and is
+    backtracked on the true flatness. The start is feasible by
+    construction; the solver point and (for 24-hour problems) the operator
+    heuristic are each checked once with `check_schedule`. Each is scored
+    by one validated `chiller_power` pass, and the best feasible one is
+    returned with the heuristic's generation. The certificate is taken at
+    the solver point against its last step's levels: `converged` is True
+    when the relative dual residual (the gap between each free hour's
+    marginal cost and its level), the primal residual and the
+    complementarity (each touched tank limit's slack times the jump of the
+    level across it) all fell below tolerance; `message` records them. On a
+    convex day a converged point is the optimum. Deterministic for
+    identical inputs and options.
     """
-    from ._newton import _interior_point
+    from ._levels import newton_levels
 
     tes = problem.tes
     lo, hi = hour_bounds(problem)
     x0 = feasible_start(problem, lo, hi)
-    x, iterations, converged, message = _interior_point(problem, lo, hi, x0, opts)
+    x, iterations, converged, message = newton_levels(problem, lo, hi, x0, opts)
 
     def scored(schedule):
         p_ch, generation = _chiller_pass(schedule.q_stor, problem)
@@ -391,8 +433,6 @@ def dp_oracle(problem: ScheduleProblem,
     """
     import numpy as np
 
-    from ._newton import _HourlyCost
-
     T = problem.horizon
     if T > HOURS_PER_DAY:
         raise ShapeError(f"dp oracle supports horizons up to 24 h, got {T}")
@@ -433,9 +473,8 @@ def dp_oracle(problem: ScheduleProblem,
         raise InfeasibleStartError(f"hour {int(empty[0])}: no admissible action on the grid")
     # every hour's cost at every action on the grid; an inadmissible action is
     # evaluated at the admissible zero rate instead and priced at inf
-    cost = _HourlyCost(problem)
-    slope = np.abs(cost.gradient(np.where(admissible, actions[:, None], 0.0)))
-    r = cost.point[-1]
+    r, dp, _ = _array_terms(np.where(admissible, actions[:, None], 0.0), problem)
+    slope = np.abs(2.0 * r * dp)
     stage_cost = np.where(admissible, r * r, np.inf).T
     grid_bound = float(np.where(admissible, slope, 0.0).max(axis=0).sum()) * action_step / 2.0
 

@@ -325,9 +325,9 @@ peaking_hours_baseline = 8
 peaking_hours_optimized = 1
 peaking_hours_eliminated = 7
 near_threshold_hours = 0
-day 0: objective = 1291.6906 MW^2, iterations = 10, converged = True, p_mean = 46.375 (same-day)
-day 1: objective = 1117.3586 MW^2, iterations = 8, converged = True, p_mean = 46.375 (previous-day)
-day 2: objective = 949.9467 MW^2, iterations = 9, converged = True, p_mean = 45.745 (previous-day)
+day 0: objective = 1291.6906 MW^2, iterations = 5, converged = True, p_mean = 46.375 (same-day)
+day 1: objective = 1117.3586 MW^2, iterations = 5, converged = True, p_mean = 46.375 (previous-day)
+day 2: objective = 949.9467 MW^2, iterations = 5, converged = True, p_mean = 45.745 (previous-day)
 """
 
 
@@ -349,42 +349,36 @@ def test_cli_report_keeps_summary_byte_identical(tmp_path):
 #: sha256 of report.csv and profile.svg written by `optimize` on the default
 #: 3-day scenario, and by `simulate` of the schedule it writes.
 DEFAULT_OUTPUT_SHA256 = {
-    "report.csv": "6cb44df49ab671c75ed69e5f1f41b54c683b910e0c8cfdfa3e3dea8e285f2440",
+    "report.csv": "22a7b6ef4eb659768280b8e5361c84827772e93bc954e33202922a621bdaca48",
     "profile.svg": "621200860517cccc9d88ce448958c0a4ee9a95e8ddf8721450e31c460c1b901f",
 }
 
 #: (q_stor_mw, e_stor_end_mwh) of each hour of the schedule.csv that `optimize`
 #: writes on the default 3-day scenario, to 10 decimals.
 DEFAULT_SCHEDULE = (
-    (-4.4403301475, 171.1596698525), (-4.1610380822, 166.9986317704),
-    (-0.8604815934, 166.138150177), (9.4618498228, 175.5999999998),
-    (-0.5608386814, 175.0391613184), (0.4915568969, 175.5307182153), (0.0692817847, 175.6),
+    (-4.4403301472, 171.1596698528), (-4.1610380788, 166.998631774),
+    (-0.8604815927, 166.1381501813), (9.4618498187, 175.6), (-0.5608362035, 175.0391637965),
+    (0.4915593145, 175.530723111), (0.069276889, 175.6), (0.0, 175.6), (0.0, 175.6),
+    (0.0, 175.6), (0.0, 175.6), (0.0, 175.6), (-2.221074403, 173.378925597),
+    (-19.9475969935, 153.4313286035), (-31.7, 121.7313286035), (-31.7, 90.0313286035),
+    (-31.7, 58.3313286035), (-21.0301367517, 37.3011918518), (-2.7106982681, 34.5904935837),
+    (15.7675907731, 50.3580843568), (30.1419156432, 80.5), (31.7, 112.2), (31.7, 143.9),
+    (31.7, 175.6), (-6.1879143073, 169.4120856927), (-5.984960964, 163.4271247287),
+    (-0.2861872511, 163.1409374776), (6.3286042993, 169.4695417769),
+    (-0.0203323656, 169.4492094113), (6.1507905887, 175.6), (-1.7810888246, 173.8189111754),
+    (1.7810888246, 175.6), (0.0, 175.6), (0.0, 175.6), (0.0, 175.6), (0.0, 175.6),
+    (-3.1392362551, 172.4607637449), (-20.4621609184, 151.9986028266),
+    (-29.6592905489, 122.3393122777), (-31.7, 90.6393122777), (-31.7, 58.9393122777),
+    (-19.5196521921, 39.4196600856), (-4.0094289764, 35.4102311092), (13.3897688908, 48.8),
+    (31.7, 80.5), (31.7, 112.2), (31.7, 143.9), (31.7, 175.6), (-6.8589219242, 168.7410780758),
+    (-1.5998524743, 167.1412256015), (8.4587743985, 175.6), (-1.5281851711, 174.0718148289),
+    (1.5281851711, 175.6), (-1.0032103785, 174.5967896215), (1.0032103785, 175.6),
     (0.0, 175.6), (0.0, 175.6), (0.0, 175.6), (0.0, 175.6), (0.0, 175.6),
-    (-2.2210744031, 173.3789255969), (-19.9475969934, 153.4313286035), (-31.7, 121.7313286035),
-    (-31.7, 90.0313286035), (-31.7, 58.3313286035), (-21.0301367517, 37.3011918518),
-    (-2.7106982681, 34.5904935838), (15.7675907731, 50.3580843569), (30.1419156431, 80.5),
-    (31.7, 112.2), (31.7, 143.9), (31.7, 175.6), (-6.187914349, 169.412085651),
-    (-5.9849609897, 163.4271246613), (-0.2861872708, 163.1409373904),
-    (6.328604287, 169.4695416774), (-0.0203323417, 169.4492093357),
-    (6.1507906499, 175.5999999856), (-1.7810890311, 173.8189109545),
-    (1.7810890441, 175.5999999986), (-2.6e-09, 175.599999996), (1.5e-09, 175.5999999974),
-    (1.6e-09, 175.599999999), (2e-10, 175.5999999993), (-3.1392362437, 172.4607637555),
-    (-20.4621608963, 151.9986028592), (-29.659290473, 122.3393123862),
-    (-31.6999999925, 90.6393123937), (-31.6999999349, 58.9393124588),
-    (-19.5196521684, 39.4196602904), (-4.009428957, 35.4102313334),
-    (13.3897689064, 48.8000002398), (31.6999997626, 80.5000000024),
-    (31.699999999, 112.2000000014), (31.6999999991, 143.9000000005), (31.6999999995, 175.6),
-    (-6.8589599361, 168.7410400639), (-1.5998922847, 167.1411477793),
-    (8.45873634, 175.5998841193), (-1.5281258775, 174.0717582418),
-    (1.528241756, 175.5999999978), (-1.0032103824, 174.5967896154),
-    (1.0032103841, 175.5999999995), (0.0, 175.5999999995), (1e-10, 175.5999999996),
-    (1e-10, 175.5999999997), (1e-10, 175.5999999999), (0.0, 175.5999999999),
-    (-5.1184802702, 170.4815197297), (-18.72576422, 151.7557555097),
-    (-29.4702458938, 122.2855096159), (-31.6999999994, 90.5855096165),
-    (-30.9787771193, 59.6067324972), (-20.4633908422, 39.143341655),
-    (-3.3199260844, 35.8234155706), (14.6437637423, 50.4671793129),
-    (30.0328206875, 80.5000000004), (31.6999999997, 112.2000000002),
-    (31.6999999999, 143.9000000001), (31.6999999999, 175.6),
+    (-5.1184802691, 170.4815197309), (-18.7257642192, 151.7557555117),
+    (-29.4702458937, 122.285509618), (-31.7, 90.585509618), (-30.978777125, 59.606732493),
+    (-20.4633908414, 39.1433416516), (-3.3199260836, 35.823415568),
+    (14.6437637431, 50.4671793111), (30.0328206889, 80.5), (31.7, 112.2), (31.7, 143.9),
+    (31.7, 175.6),
 )
 
 #: sha256 of the scenario CSV written by `synth` with its defaults (seed 1,
@@ -499,6 +493,26 @@ def test_cli_default_synth_keeps_its_hash_without_numpy(tmp_path):
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                    check=True, capture_output=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SYNTH_SHA256
+
+
+def test_cli_optimize_keeps_its_outputs_without_numpy(tmp_path):
+    # a None entry in sys.modules makes every `import numpy` fail
+    scenario_path, run_dir = tmp_path / "scenario.csv", tmp_path / "run"
+    assert cli_main(["synth", "--out", str(scenario_path)]) == 0
+    code = ("import sys; sys.modules['numpy'] = None; from gridshave.cli import main; "
+            f"sys.argv = ['gridshave', 'optimize', '--scenario', {str(scenario_path)!r}, "
+            f"'--out', {str(run_dir)!r}]; main()")
+    src = os.path.dirname(os.path.dirname(gridshave.run.__file__))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, capture_output=True)
+    for name, digest in DEFAULT_OUTPUT_SHA256.items():
+        assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest, name
+    with open(run_dir / "schedule.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(DEFAULT_SCHEDULE)
+    for row, (q_stor, e_end) in zip(rows, DEFAULT_SCHEDULE):
+        assert abs(float(row["q_stor_mw"]) - q_stor) <= 1e-8, row
+        assert abs(float(row["e_stor_end_mwh"]) - e_end) <= 1e-8, row
 
 
 def test_cli_workers_flag_is_ignored(tmp_path):

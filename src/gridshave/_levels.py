@@ -8,6 +8,7 @@ and loads none of it. See `optimizer` for the method.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .cooling import cop_coefficients, cop_values
@@ -28,7 +29,8 @@ def hour_terms(q_stor, q_cool, p_base, twb, coefficients, problem: ScheduleProbl
     Written with plain operators, as `cop_values` is, so it takes one hour's
     floats or numpy arrays of hours alike; `coefficients` is
     `cop_coefficients(twb, problem.cop_model)`. Not validated: q_stor must
-    lie in `hour_bounds`.
+    lie in `hour_bounds`. The numpy path's reference; `day_terms` repeats
+    its arithmetic for the Newton loop.
     """
     model, q_max = problem.cop_model, problem.tes.q_ch_max
     q_ch = q_cool + q_stor
@@ -40,6 +42,40 @@ def hour_terms(q_stor, q_cool, p_base, twb, coefficients, problem: ScheduleProbl
     d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + curvature))
            / (q_max * cop * cop * cop))
     return p_base + q_ch / cop - problem.p_mean, dp, d2p
+
+
+def day_terms(rates, table, c3, q_max, p_mean):
+    """The Newton model of a day's free hours at `rates`, in one loop:
+    (cost, g, h, w, a), the flatness sum of r^2, each hour's gradient
+    g = 2 r dp and curvature h = max(2 (dp^2 + r d2p), HESSIAN_FLOOR), and
+    the model's w = 1/h and a = rate - g w. `table` holds each hour's
+    (q_cool, p_base, b, c), (b, c) its `cop_coefficients`; c3 and q_max are
+    the COP model's c3 and the chiller capacity. The arithmetic is
+    `hour_terms`', operation for operation, so both give the same floats.
+    """
+    cost, g, h, w, a = 0.0, [], [], [], []
+    twice_c3 = 2.0 * c3
+    for q, (q_cool, p_base, b, c) in zip(rates, table):
+        q_ch = q_cool + q
+        plr = q_ch / q_max
+        cop = c + (b + c3 * plr) * plr
+        curvature = twice_c3 * plr
+        slope = b + curvature
+        dp = (cop - plr * slope) / (cop * cop)
+        d2p = ((2.0 * plr * slope * slope - cop * (2.0 * slope + curvature))
+               / (q_max * cop * cop * cop))
+        r = p_base + q_ch / cop - p_mean
+        cost += r * r
+        gq = 2.0 * r * dp
+        hq = 2.0 * (dp * dp + r * d2p)
+        if hq < HESSIAN_FLOOR:
+            hq = HESSIAN_FLOOR
+        wq = 1.0 / hq
+        g.append(gq)
+        h.append(hq)
+        w.append(wq)
+        a.append(q - gq * wq)
+    return cost, g, h, w, a
 
 
 #: Floor on each hour's cost curvature in the Newton model, so that a COP
@@ -159,11 +195,11 @@ def _repair(a, w, lo, hi, zlo, zhi, total, touches, status):
             fixed = slope = 0.0
             for t in range(first, k):
                 s = status[t]
-                if s == 0:
+                if s:
+                    fixed += hi[t] if s > 0 else lo[t]
+                else:
                     fixed += a[t]
                     slope += w[t]
-                else:
-                    fixed += hi[t] if s > 0 else lo[t]
             seg = first, z0, kind0
             if slope > 0.0:
                 lam = (z1 - z0 - fixed) / slope
@@ -193,11 +229,16 @@ def _repair(a, w, lo, hi, zlo, zhi, total, touches, status):
         for (first, z, *_, lam), (k, _) in zip(pooled, [*touches, (m, 0)]):
             for t in range(first, k):
                 v, l, h, s = a[t] + lam * w[t], lo[t], hi[t], status[t]
-                if not (v >= h - ROUNDING if s > 0 else v <= l + ROUNDING if s < 0
-                        else l - ROUNDING <= v <= h + ROUNDING):
+                if s > 0 and v >= h - ROUNDING:
+                    v = h
+                elif s < 0 and v <= l + ROUNDING:
+                    v = l
+                elif not s and l - ROUNDING <= v <= h + ROUNDING:
+                    v = l if v < l else h if v > h else v
+                else:   # the model rate asks for another status
                     s = status[t] = 1 if v > h else -1 if v < l else 0
+                    v = h if s > 0 else l if s < 0 else v
                     changed = True
-                v = h if s > 0 else l if s < 0 else l if v < l else h if v > h else v
                 y[t], levels[t] = v, lam
                 z += v
                 if t + 1 < k:
@@ -221,26 +262,31 @@ def _residuals(x, g, levels, touches, lo, hi, zlo, zhi, total):
     primal residual is the largest breach of an interval, a tank limit or
     the terminal state; the complementarity is the largest product of a
     touched state's slack and the jump of lam across it."""
-    dual = primal = z = 0.0
-    scale, states = 1.0, [0.0]
-    for q, gq, lam, l, h, bottom, top in zip(x, g, levels, lo, hi, zlo[1:], zhi[1:]):
+    dual = primal = 0.0
+    scale, states = 1.0, list(accumulate(x, initial=0.0))
+    for q, gq, lam, l, h, z, bottom, top in zip(x, g, levels, lo, hi, states[1:],
+                                               zlo[1:], zhi[1:]):
         d = gq - lam
-        if q <= l:      # at lo the cost may only rise upwards: d >= 0
-            d, over = (-d if d < 0.0 else 0.0), l - q
+        if q <= l:      # at lo the cost may only rise upwards: d >= 0, so -d counts
+            d = -d
+            if l - q > primal:
+                primal = l - q
         elif q >= h:
-            d, over = (d if d > 0.0 else 0.0), q - h
-        else:
-            d, over = abs(d), 0.0
-        z += q
-        states.append(z)
-        over = max(over, z - top, bottom - z)
-        if over > primal:
-            primal = over
+            if q - h > primal:
+                primal = q - h
+        elif d < 0.0:
+            d = -d
         if d > dual:
             dual = d
-        if abs(gq) > scale:
-            scale = abs(gq)
-    primal = max(primal, abs(z - total))
+        if z - top > primal:
+            primal = z - top
+        if bottom - z > primal:
+            primal = bottom - z
+        if gq > scale:
+            scale = gq
+        elif -gq > scale:
+            scale = -gq
+    primal = max(primal, abs(states[-1] - total))
     comp = max((abs(states[k] - (zhi[k] if kind > 0 else zlo[k]))
                 * abs(levels[k] - levels[k - 1]) for k, kind in touches), default=0.0)
     return dual / scale, primal, comp
@@ -256,14 +302,17 @@ def newton_levels(problem: ScheduleProblem, lo, hi, x0,
     that the first k free hours move: each such state's [0, e_max] becomes
     one interval on z_k. At the free rates x with gradient g and curvature
     h = max(hessian, HESSIAN_FLOOR), the model rates are
-    x + (lam - g) / h = a + lam w clipped to the hour's interval. A step
+    x + (lam - g) / h = a + lam w clipped to the hour's interval; a table
+    of the free hours' constants is built once, and `day_terms` gives the
+    cost, g, h, w and a in one pass over it at each trial point. A step
     repairs the previous step's touched states and clipped hours
     (`_repair`; the first step starts from none) and sweeps (`_sweep`) only
     when the repair does not settle. The feasible set is convex, so each
     point between x and the model's minimizer is feasible; the step is
     halved until the flatness does not rise, unless its model decrease is
     below the flatness's rounding, where no value of the flatness can judge
-    it and the whole step is taken.
+    it and the whole step is taken. So no iterate is worse than x0 beyond
+    rounding, and each lies in the tube.
 
     After each step, `_residuals` measures the new point against the step's
     levels; `converged` is all three residuals within tolerance, and a step
@@ -290,25 +339,13 @@ def newton_levels(problem: ScheduleProblem, lo, hi, x0,
     total = tes.e_terminal - base
     lo, hi = [lo[t] for t in free], [hi[t] for t in free]
     model = problem.cop_model
-    hours = [(problem.q_cool[t], problem.p_base[t], problem.twb[t],
-              cop_coefficients(problem.twb[t], model)) for t in free]
-
-    def terms(rates):
-        cost, g, h = 0.0, [], []
-        for q, (q_cool, p_base, twb, coefficients) in zip(rates, hours):
-            r, dp, d2p = hour_terms(q, q_cool, p_base, twb, coefficients, problem)
-            cost += r * r
-            g.append(2.0 * r * dp)
-            h.append(max(2.0 * (dp * dp + r * d2p), HESSIAN_FLOOR))
-        return cost, g, h
-
+    day = ([(problem.q_cool[t], problem.p_base[t], *cop_coefficients(problem.twb[t], model))
+            for t in free], model.c3, tes.q_ch_max, problem.p_mean)
     xf = [x[t] for t in free]
-    cost, g, h = terms(xf)
+    cost, g, h, w, a = day_terms(xf, *day)
     touches, status = [], [0] * m    # the first guess: no touched state, no clipped hour
     step, res = 0, (math.inf,) * 3
     while True:
-        w = [1.0 / c for c in h]
-        a = [q - d * v for q, d, v in zip(xf, g, w)]
         found = _repair(a, w, lo, hi, zlo, zhi, total, touches, status)
         y, levels, touches = found or _sweep(a, w, lo, hi, zlo, zhi, total)
         status = [1 if q >= u else -1 if q <= l else 0 for q, l, u in zip(y, lo, hi)]
@@ -318,9 +355,9 @@ def newton_levels(problem: ScheduleProblem, lo, hi, x0,
                  <= math.ulp(1.0) * m * cost)
         trial, alpha = y, 1.0
         for _ in range(MAX_HALVINGS):
-            new = terms(trial)
+            new = day_terms(trial, *day)
             if whole or new[0] <= cost:
-                xf, (cost, g, h) = trial, new
+                xf, (cost, g, h, w, a) = trial, new
                 break
             alpha *= 0.5
             trial = [q + alpha * (v - q) for q, v in zip(xf, y)]

@@ -25,19 +25,22 @@ solves each model exactly with that structure: the previous step's full and
 empty states and clipped hours give one closed-form level per segment, a
 guess that breaks an optimality condition is repaired, and a taut-string
 sweep takes over where the repair does not settle. Each step is backtracked
-on the true flatness, so every iterate is feasible. That loop lives in
-`_levels`, which `solve`, `gradient`, `hessian_diagonal` and `dp_oracle`
-import when called, so importing gridshave compiles none of it. It is plain
-per-hour Python on `array('d')` series and lists, and no command loads
-numpy: `gradient`, `hessian_diagonal` and `dp_oracle` evaluate the same
-per-hour derivatives (`_levels.hour_terms`) on numpy arrays and import
-numpy when called. The chiller model is `cooling`'s: the per-hour COP
-coefficients come once per solve from `cop_coefficients` and the COP from
-`cop_values`, and p_ch is validated only by `chiller_power`. The start
-(`feasible_start`) exists exactly when the day is feasible and passes
-`check_schedule` by construction; the solver point and the operator
-heuristic are each checked once. Each of the three is scored by one
-validated `chiller_power` pass, and the best feasible one is returned.
+on the true flatness, so every iterate is feasible and none is worse than
+the start beyond rounding. That loop lives in `_levels`, which `solve`,
+`gradient`, `hessian_diagonal` and `dp_oracle` import when called, so
+importing gridshave compiles none of it. It is plain Python on
+`array('d')` series and lists, and no command loads numpy: each Newton step
+makes one pass over a table of the free hours' constants
+(`_levels.day_terms`), and `gradient`, `hessian_diagonal` and `dp_oracle`
+evaluate the same derivatives (`_levels.hour_terms`, the same arithmetic)
+on numpy arrays and import numpy when called. The chiller model is
+`cooling`'s: the per-hour COP coefficients come once per solve from
+`cop_coefficients`, and p_ch is validated only by `chiller_power`. The
+start (`feasible_start`) exists exactly when the day is feasible. The
+solver point must pass `check_schedule` (a failure is a bug and raises),
+and the operator heuristic is kept only if it passes; each of the two is
+scored by one validated `chiller_power` pass, and the better one is
+returned.
 
 A dynamic-programming oracle on a discretized (action, stored energy) grid
 provides an independent optimum for small horizons: the stage cost at hour t
@@ -117,8 +120,9 @@ class ScheduleProblem:
 class SolverOptions(ConfigFile):
     # Newton-step cap of the solve
     max_iterations: int = ranged(200, "[1, inf)")
-    # MWh, primal residuals and schedule checks
-    feasibility_tol: float = ranged(1e-6, "(0, inf)")
+    # MWh, primal residuals and schedule checks; no finer than the slack,
+    # `_levels.ROUNDING`, with which the loop places rates and states
+    feasibility_tol: float = ranged(1e-6, "[1e-9, inf)")
     # relative dual residual and complementarity of the solve's certificate
     optimality_tol: float = ranged(1e-8, "(0, inf)")
 
@@ -314,11 +318,13 @@ def solve(problem: ScheduleProblem,
     Newton steps from `feasible_start` (`_levels.newton_levels`), capped at
     `max_iterations`: each minimizes every hour's quadratic model exactly
     over the rate intervals, the tank limits and the terminal state, and is
-    backtracked on the true flatness. The start is feasible by
-    construction; the solver point and (for 24-hour problems) the operator
-    heuristic are each checked once with `check_schedule`. Each is scored
-    by one validated `chiller_power` pass, and the best feasible one is
-    returned with the heuristic's generation. The certificate is taken at
+    backtracked on the true flatness, so the solver point is feasible and
+    no worse than the start beyond rounding. It is checked once with
+    `check_schedule`, and a broken limit raises RuntimeError naming the
+    first violation, as a fault of the solver. For 24-hour problems the
+    operator heuristic is a second candidate if it passes its own check.
+    Each is scored by one validated `chiller_power` pass, and the better one
+    is returned with the heuristic's generation. The certificate is taken at
     the solver point against its last step's levels: `converged` is True
     when the relative dual residual (the gap between each free hour's
     marginal cost and its level), the primal residual and the
@@ -338,13 +344,13 @@ def solve(problem: ScheduleProblem,
         p_ch, generation = _chiller_pass(schedule.q_stor, problem)
         return flatness(generation, problem.p_mean), schedule, p_ch, generation
 
-    # the start passes check_schedule by construction; a capped solve may stop
-    # short of the stored-energy limits
+    # every iterate lies in the tube, so a broken limit is a fault of the solver
     tol = opts.feasibility_tol
     point = StorageSchedule.from_rates(x, tes)
-    candidates = [scored(StorageSchedule.from_rates(x0, tes))]
-    if not check_schedule(point, tes, tol=tol):
-        candidates.append(scored(point))
+    violations = check_schedule(point, tes, tol=tol)
+    if violations:
+        raise RuntimeError(f"internal error: the solver point breaks a limit: {violations[0]}")
+    candidates = [scored(point)]
     heuristic_generation = None
     if problem.horizon == HOURS_PER_DAY:
         heuristic = scored(operator_heuristic(problem, bounds=(lo, hi)))

@@ -169,7 +169,8 @@ class SynthParams:
     hottest day, with a mild overnight valley. Each `float` and `int` field
     is checked by `configio.check_fields`: a nan or infinite value, a
     fractional `days`, `days` below 1 and a negative `base_level_mw` or
-    `noise_mw` raise SynthesisError naming the field.
+    `noise_mw` raise SynthesisError naming the field, and so does a `start`
+    not at 00:00, as the peaks sit at their hours of each day's rows.
     """
 
     days: int = ranged(3, "[1, inf)")
@@ -184,6 +185,8 @@ class SynthParams:
 
     def __post_init__(self):
         check_fields(self, SynthesisError)
+        if self.start.time() != time():
+            raise SynthesisError(f"start must be at 00:00, got {self.start.isoformat()}")
 
 
 def generate_synthetic(params: SynthParams = SynthParams(), seed: int = 1) -> Scenario:

@@ -174,7 +174,7 @@ SPEC = {
     },
     SolverOptions: {
         "max_iterations": ("[1, inf)", [0, -5]),
-        "feasibility_tol": ("(0, inf)", [0.0, -1e-6]),
+        "feasibility_tol": ("[1e-9, inf)", [math.nextafter(1e-9, 0.0), 0.0, -1e-6]),
         "optimality_tol": ("(0, inf)", [0.0]),
     },
     SynthParams: {

@@ -297,6 +297,25 @@ def test_solve_properties_on_random_days(problem):
     assert residuals["complementarity"] <= opts.optimality_tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(criterion5_days(), st.data())
+def test_solve_never_worse_than_a_ramp_start(problem, data):
+    # the start is no candidate of solve: the Newton loop descends from it,
+    # also where it is a ramp between unequal boundary states
+    stored = st.floats(0.0, problem.tes.e_max)
+    tes = replace(problem.tes, e_initial=data.draw(stored), e_terminal=data.draw(stored))
+    problem = replace(problem, tes=tes)
+    try:
+        start = feasible_start(problem, *hour_bounds(problem))
+    except InfeasibleStartError:
+        assume(False)
+    opts = SolverOptions()
+    res = solve(problem, opts)
+    assert res.converged, res.message
+    assert check_schedule(res.schedule, tes, tol=opts.feasibility_tol) == []
+    assert res.objective <= objective(start, problem) * (1.0 + 1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(criterion5_days())
 def test_no_small_transfer_improves_the_solve(problem):
@@ -527,33 +546,77 @@ def test_solve_calls_hour_bounds_once(first_day_problem, monkeypatch):
 
 
 def test_solve_counts_its_work(first_day_problem, monkeypatch):
+    per_day = mock.Mock(wraps=gridshave._levels.day_terms)
     per_hour = mock.Mock(wraps=gridshave._levels.hour_terms)
     validating = mock.Mock(wraps=gridshave.optimizer.chiller_power)
     scalar = mock.Mock(wraps=objective)
+    monkeypatch.setattr(gridshave._levels, "day_terms", per_day)
     monkeypatch.setattr(gridshave._levels, "hour_terms", per_hour)
     monkeypatch.setattr(gridshave.optimizer, "chiller_power", validating)
     monkeypatch.setattr(gridshave.optimizer, "objective", scalar)
     monkeypatch.setitem(sys.modules, "numpy", None)   # any numpy import now fails
     res = solve(first_day_problem)
-    # one derivative pass over the 24 free hours at the start and one per
-    # step; one validating pass per candidate (start, solver point,
+    # one pass over the free hours at the start and one per step, and no
+    # per-hour call; one validating pass per candidate (solver point,
     # heuristic) and no separate objective pass
     assert res.iterations == 5
-    assert per_hour.call_count == 24 * (res.iterations + 1)
-    assert validating.call_count == 3
+    assert per_day.call_count == res.iterations + 1
+    assert per_hour.call_count == 0
+    assert validating.call_count == 2
     assert scalar.call_count == 0
 
 
-def test_solve_returns_the_start_when_every_other_candidate_is_rejected(first_day_problem,
-                                                                        monkeypatch):
+def test_solve_raises_when_the_solver_point_fails_its_check(first_day_problem, monkeypatch):
     p = first_day_problem
     limit = Violation("terminal_soc", -1, 0.0, p.tes.e_terminal)
-    monkeypatch.setattr(gridshave.optimizer, "check_schedule", lambda *args, **kw: [limit])
+    heuristic = operator_heuristic(p).q_stor
+    checked = mock.Mock(return_value=[limit])
+    monkeypatch.setattr(gridshave.optimizer, "check_schedule", checked)
+    # every iterate lies in the tube: a broken limit is the solver's fault
+    with pytest.raises(RuntimeError, match=f"^internal error: .*: {re.escape(str(limit))}$"):
+        solve(p)
+    assert checked.call_count == 1
+    # the heuristic is scored though it fails its own check, and loses
+    checked.side_effect = lambda schedule, *args, **kw: (
+        [limit] if schedule.q_stor == heuristic else [])
     res = solve(p)
-    assert res.schedule.q_stor.tolist() == [0.0] * 24
-    assert res.objective == objective(np.zeros(24), p)
-    # the heuristic is scored though it lost the check
-    assert res.heuristic_generation == generation_profile(operator_heuristic(p).q_stor, p)
+    assert checked.call_count == 3
+    assert res.heuristic_generation == generation_profile(heuristic, p)
+    assert res.objective < flatness(res.heuristic_generation, p.p_mean)
+    assert res.schedule.q_stor != heuristic
+
+
+def test_day_terms_match_hour_terms_bit_for_bit():
+    # the Newton loop's one pass and the per-hour reference of the numpy path
+    # are two writings of one formula; they must give the same floats
+    rng = np.random.default_rng(7)
+    for model in (DEFAULT_COP_MODEL, NON_CONVEX_COP):
+        n = 200
+        q_cool = rng.uniform(0.0, 150.0, n).tolist()
+        twb = rng.uniform(model.twb_min, model.twb_max, n).tolist()
+        p_base = rng.uniform(10.0, 50.0, n).tolist()
+        tes = TesConfig()
+        problem = ScheduleProblem(p_base=p_base, q_cool=q_cool, twb=twb, p_mean=45.0,
+                                  tes=tes, cop_model=model)
+        rates = [rng.uniform(-min(tes.rate_max, qc), min(tes.rate_max, tes.q_ch_max - qc))
+                 for qc in q_cool]
+        table = [(qc, pb, *gridshave.cooling.cop_coefficients(wet_bulb, model))
+                 for qc, pb, wet_bulb in zip(q_cool, p_base, twb)]
+        cost, g, h, w, a = gridshave._levels.day_terms(rates, table, model.c3, tes.q_ch_max,
+                                                       problem.p_mean)
+        expected_cost = 0.0
+        for t, q in enumerate(rates):
+            r, dp, d2p = gridshave._levels.hour_terms(
+                q, q_cool[t], p_base[t], twb[t], table[t][2:], problem)
+            expected_cost += r * r
+            curvature = max(2.0 * (dp * dp + r * d2p), gridshave._levels.HESSIAN_FLOOR)
+            assert g[t].hex() == (2.0 * r * dp).hex()
+            assert h[t].hex() == curvature.hex()
+            assert w[t].hex() == (1.0 / curvature).hex()
+            assert a[t].hex() == (q - g[t] * w[t]).hex()
+        assert cost.hex() == expected_cost.hex()
+        # the floor binds on some hours of the non-convex surface
+        assert model is DEFAULT_COP_MODEL or gridshave._levels.HESSIAN_FLOOR in h
 
 
 @pytest.mark.parametrize("c3", [0.0, 1e-320, 1e-300, -1e-300, 1e-12, -1e-12])
@@ -903,6 +966,7 @@ def test_solver_options_defaults():
     ("max_iterations", 1.5),
     ("max_iterations", math.inf),
     ("max_iterations", math.nan),
+    ("feasibility_tol", math.nextafter(1e-9, 0.0)),
     ("feasibility_tol", 0.0),
     ("feasibility_tol", -1e-6),
     ("feasibility_tol", math.inf),
@@ -912,6 +976,14 @@ def test_solver_options_defaults():
 def test_solver_options_reject_invalid_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         SolverOptions(**{field: value})
+
+
+def test_feasibility_tol_floor_is_the_loop_rounding():
+    # a finer tolerance would judge the rates and states the loop places
+    # within its rounding slack as breaking their limits
+    interval = SolverOptions.__dataclass_fields__["feasibility_tol"].metadata["interval"]
+    assert interval[1] == gridshave._levels.ROUNDING
+    assert SolverOptions(feasibility_tol=gridshave._levels.ROUNDING).feasibility_tol == 1e-9
 
 
 def test_solver_options_round_trip(tmp_path):

@@ -4,7 +4,8 @@ import os
 import re
 import subprocess
 import sys
-from datetime import datetime
+from dataclasses import replace
+from datetime import timedelta
 from unittest import mock
 
 import numpy as np
@@ -159,18 +160,18 @@ def test_days_split_and_baselined_once(monkeypatch, synth_scenario, run_results)
     monkeypatch.setattr(gridshave.run, "split_days", split)
     monkeypatch.setattr(gridshave.run, "no_storage_baseline", baseline)
     # one validated chiller pass per schedule: the baseline and, in a solve,
-    # the start, the solver point and the heuristic, or the fixed schedule
-    # and the heuristic
+    # the solver point and the heuristic, or the fixed schedule and the
+    # heuristic
     validating = mock.Mock(wraps=gridshave.cooling.chiller_power)
     monkeypatch.setattr(gridshave.optimizer, "chiller_power", validating)
     monkeypatch.setattr(gridshave.scenario, "chiller_power", validating)
     run_days(synth_scenario, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
     assert (split.call_count, baseline.call_count) == (1, 3)
-    assert validating.call_count == 12
+    assert validating.call_count == 9
     q = np.concatenate([d.optimal.schedule.q_stor for d in run_results])
     evaluate_fixed_schedule(synth_scenario, q, DEFAULT_PLANT, DEFAULT_COP_MODEL, DEFAULT_TES)
     assert (split.call_count, baseline.call_count) == (2, 6)
-    assert validating.call_count == 12 + 9
+    assert validating.call_count == 9 + 9
 
 
 def test_day_results_carry_each_days_baseline(synth_scenario, run_results):
@@ -543,7 +544,8 @@ def test_cli_optimize_charges_a_day_the_uniform_ramp_cannot(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["optimize", "simulate"])
 def test_cli_scenario_not_starting_at_midnight_exits_1(tmp_path, capsys, command):
-    scenario = generate_synthetic(SynthParams(days=1, start=datetime(2023, 6, 12, 6)), seed=1)
+    day = generate_synthetic(SynthParams(days=1), seed=1)
+    scenario = replace(day, timestamps=[ts + timedelta(hours=6) for ts in day.timestamps])
     scenario_path, schedule = str(tmp_path / "dawn.csv"), tmp_path / "idle.csv"
     write_scenario(scenario, scenario_path)
     # an idle schedule stamped with the scenario's hours

@@ -217,6 +217,13 @@ def test_synth_params_reject_negative_level(name):
         SynthParams(days=1, **{name: -5.0})
 
 
+@pytest.mark.parametrize("start", [datetime(2023, 6, 12, 6), datetime(2023, 6, 12, 0, 0, 1)])
+def test_synth_params_reject_start_not_at_midnight(start):
+    # the bells are placed by row, so a later start would shift the peaks
+    with pytest.raises(SynthesisError, match=f"^start must be at 00:00, got {start.isoformat()}$"):
+        SynthParams(days=1, start=start)
+
+
 def test_synthetic_embeds_seed(synth_scenario):
     assert synth_scenario.seed == 1
     assert synth_scenario.source == "synthetic"

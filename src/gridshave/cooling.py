@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .configio import ConfigFile, ranged
+from .configio import ConfigFile, Record, ranged
 from .errors import (
     ChillerCapacityError,
     CopDomainError,
@@ -46,7 +45,6 @@ STORAGE_CAPACITY_MWH = 175.6
 STORAGE_RATE_MW = 31.7
 
 
-@dataclass(frozen=True)
 class CopModel(ConfigFile):
     """Quadratic COP surface in (PLR, TWB) with a validity guard."""
 
@@ -74,7 +72,6 @@ class CopModel(ConfigFile):
 DEFAULT_COP_MODEL = CopModel()
 
 
-@dataclass(frozen=True)
 class TesConfig(ConfigFile):
     """Thermal storage tank limits and boundary conditions."""
 
@@ -95,8 +92,7 @@ class TesConfig(ConfigFile):
 DEFAULT_TES = TesConfig()
 
 
-@dataclass(frozen=True)
-class StorageSchedule:
+class StorageSchedule(Record):
     """Hourly charge/discharge rates plus the implied stored-energy trajectory.
 
     q_stor has length T (positive = charging); e_stor has length T+1 with
@@ -124,8 +120,7 @@ class StorageSchedule:
         return cls(q_stor=q_stor, e_stor=storage_trajectory(q_stor, tes))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One constraint violation found by check_schedule."""
 
     kind: str      # non_finite | rate | soc_low | soc_high | initial_soc | terminal_soc | trajectory

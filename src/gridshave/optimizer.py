@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from operator import add, itemgetter
 
-from .configio import ConfigFile, ranged
+from .configio import ConfigFile, Record, ranged
 from .cooling import (
     CopModel,
     StorageSchedule,
@@ -75,8 +74,7 @@ from .errors import (
 HOURS_PER_DAY = 24
 
 
-@dataclass(frozen=True)
-class ScheduleProblem:
+class ScheduleProblem(Record):
     """One optimization horizon: exogenous series, target level and configs.
 
     The hourly series are stored as `array('d')` copies of the given ones.
@@ -116,7 +114,6 @@ class ScheduleProblem:
         return len(self.p_base)
 
 
-@dataclass(frozen=True)
 class SolverOptions(ConfigFile):
     # Newton-step cap of the solve
     max_iterations: int = ranged(200, "[1, inf)")
@@ -127,8 +124,7 @@ class SolverOptions(ConfigFile):
     optimality_tol: float = ranged(1e-8, "(0, inf)")
 
 
-@dataclass(frozen=True)
-class OptimalSchedule:
+class OptimalSchedule(Record):
     """Solver output: feasible schedule plus diagnostics."""
 
     schedule: StorageSchedule

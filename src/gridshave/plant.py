@@ -12,14 +12,12 @@ figures come from this model.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from operator import sub
 
-from .configio import ConfigFile, ranged
+from .configio import ConfigFile, Record, ranged
 from .errors import ShapeError
 
 
-@dataclass(frozen=True)
 class PlantConfig(ConfigFile):
     """Capacities, threshold and lumped electric efficiencies of the CHP plant.
 
@@ -51,8 +49,7 @@ class PlantConfig(ConfigFile):
 DEFAULT_PLANT = PlantConfig()
 
 
-@dataclass(frozen=True)
-class FuelSavings:
+class FuelSavings(Record):
     """Fuel comparison of two generation profiles under the two-path split.
 
     Below the threshold, electricity is charged at the combined-cycle

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul, sub
 
+from .configio import Record
 from .cooling import CopModel, cop_values
 from .errors import MetricUndefinedError, ShapeError, SingularFitError
-from .tableio import read_table, write_table
+from .tableio import read_table
 
 BASIS_NAMES = ("1", "plr", "twb", "plr^2", "twb*plr", "twb^2")
 
@@ -28,8 +28,7 @@ SAMPLES_HEADER = "plr,twb_c,cop"
 MIN_SAMPLES = 12
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Record):
     """(PLR, TWB, measured COP) triples, stored as `array('d')` copies."""
 
     plr: array
@@ -55,8 +54,7 @@ class SampleSet:
         return len(self.plr)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     """Fitted model plus goodness-of-fit metrics on the fitting set."""
 
     model: CopModel
@@ -181,7 +179,3 @@ def load_samples(path: str) -> SampleSet:
     """Read a sample CSV with header `plr,twb_c,cop`."""
     table, _ = read_table(path, SAMPLES_HEADER, "samples")
     return SampleSet(plr=table["plr"], twb=table["twb_c"], cop=table["cop"])
-
-
-def save_samples(samples: SampleSet, path: str) -> None:
-    write_table(path, SAMPLES_HEADER, [samples.plr, samples.twb, samples.cop])

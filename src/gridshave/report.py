@@ -9,11 +9,11 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from itertools import chain
 
+from .configio import Record
 from .errors import ScenarioParseError, ShapeError
 from .plant import PlantConfig, fuel_savings
 from .run import DayResult
@@ -49,8 +49,7 @@ _METRIC_FORMATS = (
 )
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     """A run's hourly table, the plant it is judged under, and the solver's
     `day k:` summary lines; everything the CLI prints and writes."""
 

@@ -10,8 +10,8 @@ generation; the first day uses its own mean and is flagged "same-day".
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
+from .configio import Record
 from .cooling import CopModel, StorageSchedule, TesConfig, check_schedule
 from .errors import InfeasibleScheduleError, ShapeError
 from .optimizer import (
@@ -27,16 +27,14 @@ from .plant import PlantConfig
 from .scenario import HOURS_PER_DAY, Scenario, no_storage_baseline, split_days
 
 
-@dataclass(frozen=True)
-class DayTarget:
+class DayTarget(Record):
     """Where a day's flat target came from: the day's no-storage generation
     and whether the target is the mean of this day's or the previous day's."""
     no_storage: array
     mode: str               # "previous-day" or "same-day"
 
 
-@dataclass(frozen=True)
-class DayResult:
+class DayResult(Record):
     """One day of a run: its problem (which holds the flat target p_mean),
     where that target came from, and the schedule evaluated, which carries
     the generation under the operator heuristic. The list position is the

@@ -21,10 +21,9 @@ import math
 import operator
 import os
 from array import array
-from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
 
-from .configio import check_fields, ranged
+from .configio import Record, check_fields, ranged
 from .cooling import DEFAULT_COP_MODEL, DEFAULT_TES, CopModel, TesConfig, chiller_power
 from .errors import (
     ChillerCapacityError,
@@ -43,8 +42,7 @@ SCENARIO_HEADER = "timestamp,p_base_mw,q_cool_mw,q_steam_mw,twb_c"
 HOURS_PER_DAY = 24
 
 
-@dataclass
-class Scenario:
+class Scenario(Record, frozen=False):
     """Exogenous hourly inputs for a simulation horizon; the series are
     stored as `array('d')` copies of the given ones."""
 
@@ -157,8 +155,7 @@ BELL = (
 )
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(Record):
     """Levels and amplitudes of synthetic summer days. The hours and width of
     their peaks, the steam load and the day-to-day scaling are the module
     constants PEAK_HOUR, PEAK_WIDTH_H, TWB_PEAK_HOUR, STEAM_BASE_MW,
@@ -174,7 +171,7 @@ class SynthParams:
     """
 
     days: int = ranged(3, "[1, inf)")
-    start: datetime = field(default_factory=lambda: datetime(2023, 6, 12))
+    start: datetime = datetime(2023, 6, 12)
     base_level_mw: float = ranged(27.0, "[0, inf)")
     base_peak_amp_mw: float = 8.5
     cool_base_mw: float = 66.0

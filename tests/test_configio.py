@@ -1,6 +1,5 @@
 """The shared config file format of plant.cfg, cop.cfg, tes.cfg and solver.cfg."""
 
-import dataclasses
 import math
 import os
 import re
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshave import configio
 from gridshave.cli import cli_main
 from gridshave.cooling import CopModel, TesConfig
 from gridshave.errors import ConfigError, SynthesisError
@@ -211,7 +211,7 @@ def _case_id(case):
 
 def test_spec_lists_every_numeric_field():
     for cls, spec in SPEC.items():
-        numeric = [f.name for f in dataclasses.fields(cls) if f.type in ("float", "int")]
+        numeric = [f.name for f in configio.fields(cls) if f.type in ("float", "int")]
         assert sorted(spec) == sorted(numeric), cls.__name__
 
 

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 import gridshave
 import gridshave._levels
+from gridshave import configio
 import gridshave.optimizer
 
 from gridshave.cooling import (
@@ -48,10 +48,11 @@ from gridshave.optimizer import (
     operator_heuristic,
     solve,
 )
-from gridshave.regression import SampleSet, save_samples
+from gridshave.regression import SAMPLES_HEADER
 from gridshave.scenario import SynthParams, generate_synthetic, write_scenario
 from gridshave.run import build_problems
 from gridshave.plant import DEFAULT_PLANT
+from gridshave.tableio import write_table
 
 
 #: A COP surface convex in PLR whose hourly cost is strongly non-convex on
@@ -159,7 +160,7 @@ def test_gradient_sign_follows_deviation(first_day_problem):
 def test_hessian_diagonal_matches_central_differences(first_day_problem, cop_model):
     # every column of the finite-difference Jacobian of the gradient: the
     # diagonal must match and the off-diagonal entries must vanish
-    p = replace(first_day_problem, cop_model=cop_model)
+    p = first_day_problem.replace(cop_model=cop_model)
     lo, hi = (np.asarray(v) for v in hour_bounds(p))
     rng = np.random.default_rng(334)
     h = 1e-4
@@ -303,8 +304,8 @@ def test_solve_never_worse_than_a_ramp_start(problem, data):
     # the start is no candidate of solve: the Newton loop descends from it,
     # also where it is a ramp between unequal boundary states
     stored = st.floats(0.0, problem.tes.e_max)
-    tes = replace(problem.tes, e_initial=data.draw(stored), e_terminal=data.draw(stored))
-    problem = replace(problem, tes=tes)
+    tes = problem.tes.replace(e_initial=data.draw(stored), e_terminal=data.draw(stored))
+    problem = problem.replace(tes=tes)
     try:
         start = feasible_start(problem, *hour_bounds(problem))
     except InfeasibleStartError:
@@ -347,7 +348,7 @@ def test_no_small_transfer_improves_the_solve(problem):
        cop_floor=st.floats(0.5, 4.0))
 def test_hour_bounds_contain_zero_when_zero_storage_admissible(q_cool, twb, rate_max,
                                                                c1, c3, cop_floor):
-    model = replace(DEFAULT_COP_MODEL, c1=c1, c3=c3, cop_floor=cop_floor)
+    model = DEFAULT_COP_MODEL.replace(c1=c1, c3=c3, cop_floor=cop_floor)
     tes = TesConfig(rate_max=rate_max)
     problem = ScheduleProblem(
         p_base=np.full(4, 30.0), q_cool=np.array(q_cool),
@@ -374,7 +375,7 @@ def test_hour_bounds_contain_zero_when_zero_storage_admissible(q_cool, twb, rate
        c1=st.floats(-12.0, 4.0), c3=st.floats(-10.0, 12.0),
        cop_floor=st.floats(0.5, 4.0))
 def test_hour_bounds_edges_pass_chiller_power(q_cool, twb, rate_max, c1, c3, cop_floor):
-    model = replace(DEFAULT_COP_MODEL, c1=c1, c3=c3, cop_floor=cop_floor)
+    model = DEFAULT_COP_MODEL.replace(c1=c1, c3=c3, cop_floor=cop_floor)
     tes = TesConfig(rate_max=rate_max)
     problem = ScheduleProblem(
         p_base=np.full(4, 30.0), q_cool=np.array(q_cool),
@@ -393,8 +394,8 @@ def test_solve_a_day_whose_cop_floor_sets_its_edges(e_initial):
     # a floor of 5.3 sets both edges of every hour: the COP there evaluates to
     # 5.299999999999999 and 5.3, so the edges move inward to be accepted
     tes = TesConfig(e_initial=e_initial)
-    problem = replace(_constant_problem(tes=tes),
-                      cop_model=replace(DEFAULT_COP_MODEL, cop_floor=5.3))
+    problem = _constant_problem(tes=tes).replace(
+        cop_model=DEFAULT_COP_MODEL.replace(cop_floor=5.3))
     lo, hi = hour_bounds(problem)
     assert -tes.rate_max < lo[0] and hi[0] < tes.rate_max   # the floor binds
     res = solve(problem)
@@ -475,7 +476,7 @@ NEAR_ZERO_C3 = st.one_of(st.floats(-1e-6, 1e-6),
        c1=st.floats(-12.0, 4.0), c3=st.one_of(st.floats(-10.0, 12.0), NEAR_ZERO_C3),
        cop_floor=st.floats(0.5, 4.0))
 def test_hour_bounds_match_scalar_reference(q_cool, twb, rate_max, c1, c3, cop_floor):
-    model = replace(DEFAULT_COP_MODEL, c1=c1, c3=c3, cop_floor=cop_floor)
+    model = DEFAULT_COP_MODEL.replace(c1=c1, c3=c3, cop_floor=cop_floor)
     problem = ScheduleProblem(
         p_base=np.full(4, 30.0), q_cool=np.array(q_cool), twb=np.array(twb),
         p_mean=40.0, tes=TesConfig(rate_max=rate_max), cop_model=model)
@@ -623,7 +624,7 @@ def test_day_terms_match_hour_terms_bit_for_bit():
 def test_hour_bounds_tiny_quadratic_cop_term(c3):
     # COP falls through the floor at plr = 0.74 on a near-linear surface; a
     # tiny c3 must not move that root or raise
-    model = replace(DEFAULT_COP_MODEL, c1=-8.0, c3=c3, cop_floor=8.8)
+    model = DEFAULT_COP_MODEL.replace(c1=-8.0, c3=c3, cop_floor=8.8)
     tes = TesConfig(rate_max=150.0)
     problem = ScheduleProblem(
         p_base=np.full(2, 30.0), q_cool=np.full(2, 0.1 * tes.q_ch_max),
@@ -668,7 +669,7 @@ def test_solve_all_hours_fixed_takes_no_step():
 
 
 def test_solve_non_convex_cop_surface_returns_feasible_schedule(first_day_problem):
-    p = replace(first_day_problem, cop_model=NON_CONVEX_COP)
+    p = first_day_problem.replace(cop_model=NON_CONVEX_COP)
     lo, hi = (np.asarray(v) for v in hour_bounds(p))
     curvature = min(float(np.min(hessian_diagonal(lo + f * (hi - lo), p)))
                     for f in np.linspace(0.05, 0.95, 19))
@@ -926,7 +927,7 @@ def test_schedule_problem_rejects_non_finite_series(first_day_problem, name, val
     series = np.array(getattr(first_day_problem, name))
     series[5] = value
     with pytest.raises(ValueError, match=f"^hour 5: {name} is "):
-        replace(first_day_problem, **{name: series})
+        first_day_problem.replace(**{name: series})
 
 
 @pytest.mark.parametrize("value", [31.0, 9.5])
@@ -934,7 +935,7 @@ def test_schedule_problem_rejects_wet_bulb_outside_cop_window(first_day_problem,
     twb = np.array(first_day_problem.twb)
     twb[5] = value
     with pytest.raises(CopDomainError, match="^hour 5: twb=") as got:
-        replace(first_day_problem, twb=twb)
+        first_day_problem.replace(twb=twb)
     assert got.value.hour == 5
 
 
@@ -950,7 +951,7 @@ def test_non_finite_rate_names_its_hour(first_day_problem, evaluate, value):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_schedule_problem_rejects_non_finite_p_mean(first_day_problem, value):
     with pytest.raises(ValueError, match="^p_mean must be positive and finite"):
-        replace(first_day_problem, p_mean=value)
+        first_day_problem.replace(p_mean=value)
 
 
 def test_solver_options_defaults():
@@ -981,7 +982,8 @@ def test_solver_options_reject_invalid_values(field, value):
 def test_feasibility_tol_floor_is_the_loop_rounding():
     # a finer tolerance would judge the rates and states the loop places
     # within its rounding slack as breaking their limits
-    interval = SolverOptions.__dataclass_fields__["feasibility_tol"].metadata["interval"]
+    interval = next(f.interval for f in configio.fields(SolverOptions)
+                    if f.name == "feasibility_tol")
     assert interval[1] == gridshave._levels.ROUNDING
     assert SolverOptions(feasibility_tol=gridshave._levels.ROUNDING).feasibility_tol == 1e-9
 
@@ -1043,8 +1045,7 @@ def test_no_command_loads_numpy(tmp_path):
     samples_path = str(tmp_path / "samples.csv")
     plr = np.linspace(0.0, 1.0, 20)
     twb = np.resize([12.0, 20.0, 28.0], 20)
-    save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
-                 samples_path)
+    write_table(samples_path, SAMPLES_HEADER, [plr, twb, cop_values(plr, twb, DEFAULT_COP_MODEL)])
     commands = {
         "optimize": ["--scenario", scenario_path, "--out", run_dir],
         "simulate": ["--scenario", scenario_path, "--out", str(tmp_path / "sim"),

@@ -34,6 +34,28 @@ def test_cli_import_loads_every_traced_layer():
     assert out.stdout.strip() == "[]"
 
 
+def test_cold_commands_load_no_dataclasses_inspect_or_numpy(tmp_path):
+    # every command is a cold process, so what its imports load is paid on each run
+    from gridshave.cooling import DEFAULT_COP_MODEL, cop_values
+    from gridshave.regression import SAMPLES_HEADER
+    from gridshave.tableio import write_table
+
+    plr = [i / 19 for i in range(20)]
+    twb = [(12.0, 20.0, 28.0)[i % 3] for i in range(20)]
+    write_table(str(tmp_path / "samples.csv"), SAMPLES_HEADER,
+                [plr, twb, [cop_values(p, w, DEFAULT_COP_MODEL) for p, w in zip(plr, twb)]])
+    src = os.path.dirname(os.path.dirname(gridshave.__file__))
+    code = ("import sys\n"
+            "from gridshave.cli import cli_main\n"
+            "codes = [cli_main(['synth', '--out', 'day.csv']),\n"
+            "         cli_main(['fit', '--samples', 'samples.csv', '--out', 'cop.cfg'])]\n"
+            "print(codes, [m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "day.csv").exists() and (tmp_path / "cop.cfg").exists()
+
+
 def _perfbench_names(filename, *variables):
     """The dotted names bound to `variables` in a perfbench module, read from
     its source without importing it."""

@@ -7,14 +7,15 @@ from gridshave.cooling import cop_values
 from gridshave.errors import MetricUndefinedError, ScenarioParseError, ShapeError, SingularFitError
 from gridshave.regression import (
     BASIS_NAMES,
+    SAMPLES_HEADER,
     SampleSet,
     cvrmse,
     design_matrix,
     fit_cop_model,
     load_samples,
     mbe,
-    save_samples,
 )
+from gridshave.tableio import write_table
 
 
 def _samples_from_model(model, n=50, seed=7, noise=0.0):
@@ -214,7 +215,7 @@ def test_sample_set_validation():
 def test_samples_csv_round_trip(tmp_path, cop_model):
     samples = _samples_from_model(cop_model, seed=17)
     path = tmp_path / "samples.csv"
-    save_samples(samples, str(path))
+    write_table(str(path), SAMPLES_HEADER, [samples.plr, samples.twb, samples.cop])
     loaded = load_samples(str(path))
     assert np.array_equal(loaded.plr, samples.plr)
     assert np.array_equal(loaded.twb, samples.twb)

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import timedelta
 from unittest import mock
 
@@ -28,7 +27,7 @@ from gridshave.cooling import (
 from gridshave.errors import InfeasibleScheduleError, ShapeError
 from gridshave.optimizer import SolverOptions, objective, solve
 from gridshave.plant import DEFAULT_PLANT, PlantConfig, fuel_savings
-from gridshave.regression import SampleSet, save_samples
+from gridshave.regression import SAMPLES_HEADER
 from gridshave.report import (
     RunReport,
     build_report,
@@ -46,6 +45,7 @@ from gridshave.scenario import (
     split_days,
     write_scenario,
 )
+from gridshave.tableio import write_table
 
 
 @pytest.fixture(scope="module")
@@ -260,14 +260,11 @@ def test_cli_synth_and_optimize(tmp_path, capsys):
 
 def test_cli_fit(tmp_path):
     from gridshave.cooling import cop_values
-    from gridshave.regression import SampleSet, save_samples
-
     rng = np.random.default_rng(23)
     plr = rng.uniform(0.0, 1.0, 40)
     twb = rng.uniform(12.0, 28.0, 40)
-    samples = SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL))
     samples_path = str(tmp_path / "samples.csv")
-    save_samples(samples, samples_path)
+    write_table(samples_path, SAMPLES_HEADER, [plr, twb, cop_values(plr, twb, DEFAULT_COP_MODEL)])
     out_path = str(tmp_path / "cop.cfg")
     metrics_path = str(tmp_path / "metrics.txt")
     assert cli_main(["fit", "--samples", samples_path, "--out", out_path,
@@ -281,13 +278,10 @@ def test_cli_fit(tmp_path):
 
 @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
 def test_cli_fit_rejects_non_finite_cop_floor(tmp_path, capsys, floor):
-    from gridshave.regression import SampleSet, save_samples
-
     rng = np.random.default_rng(23)
     plr, twb = rng.uniform(0.0, 1.0, 40), rng.uniform(12.0, 28.0, 40)
     samples_path = str(tmp_path / "samples.csv")
-    save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
-                 samples_path)
+    write_table(samples_path, SAMPLES_HEADER, [plr, twb, cop_values(plr, twb, DEFAULT_COP_MODEL)])
     out_path = tmp_path / "cop.cfg"
     assert cli_main(["fit", "--samples", samples_path, "--out", str(out_path),
                      f"--cop-floor={floor}"]) == 1
@@ -545,7 +539,7 @@ def test_cli_optimize_charges_a_day_the_uniform_ramp_cannot(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["optimize", "simulate"])
 def test_cli_scenario_not_starting_at_midnight_exits_1(tmp_path, capsys, command):
     day = generate_synthetic(SynthParams(days=1), seed=1)
-    scenario = replace(day, timestamps=[ts + timedelta(hours=6) for ts in day.timestamps])
+    scenario = day.replace(timestamps=[ts + timedelta(hours=6) for ts in day.timestamps])
     scenario_path, schedule = str(tmp_path / "dawn.csv"), tmp_path / "idle.csv"
     write_scenario(scenario, scenario_path)
     # an idle schedule stamped with the scenario's hours
@@ -722,8 +716,8 @@ def test_cli_reads_a_negative_float_after_a_flag_as_its_value(tmp_path, capsys, 
         rng = np.random.default_rng(23)
         plr, twb = rng.uniform(0.0, 1.0, 40), rng.uniform(12.0, 28.0, 40)
         samples_path = str(tmp_path / "samples.csv")
-        save_samples(SampleSet(plr=plr, twb=twb, cop=cop_values(plr, twb, DEFAULT_COP_MODEL)),
-                     samples_path)
+        write_table(samples_path, SAMPLES_HEADER,
+                    [plr, twb, cop_values(plr, twb, DEFAULT_COP_MODEL)])
         argv += ["--samples", samples_path]
     assert cli_main(argv) == 1
     assert message in capsys.readouterr().err

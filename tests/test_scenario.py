@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from datetime import datetime, timedelta
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshave import configio
 from gridshave.cooling import DEFAULT_COP_MODEL, DEFAULT_TES, chiller_power
 from gridshave.errors import (
     ChillerCapacityError,
@@ -201,7 +201,7 @@ def test_synthetic_rejects_non_positive_days(days):
         generate_synthetic(SynthParams(days=days), seed=1)
 
 
-_SYNTH_FLOAT_FIELDS = [f.name for f in dataclasses.fields(SynthParams) if f.type == "float"]
+_SYNTH_FLOAT_FIELDS = [f.name for f in configio.fields(SynthParams) if f.type == "float"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshave.errors import ScenarioParseError
-from gridshave.regression import MIN_SAMPLES, SAMPLES_HEADER, SampleSet, load_samples, \
-    save_samples
+from gridshave.regression import MIN_SAMPLES, SAMPLES_HEADER, SampleSet, load_samples
 from gridshave.report import REPORT_HEADER, SCHEDULE_HEADER, load_report_table, \
     load_schedule_csv, write_schedule_csv
 from gridshave.scenario import SCENARIO_HEADER, Scenario, load_scenario, write_scenario
+from gridshave.tableio import write_table
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
@@ -62,7 +62,9 @@ def test_scenario_round_trip_bit_exact(cols, seed):
 @given(_columns(MIN_SAMPLES, st.floats(0.0, 1.0), FINITE, FINITE))
 def test_samples_round_trip_bit_exact(cols):
     samples = SampleSet(*cols)
-    loaded = _round_trip(lambda p: save_samples(samples, p), load_samples)
+    loaded = _round_trip(
+        lambda p: write_table(p, SAMPLES_HEADER, [samples.plr, samples.twb, samples.cop]),
+        load_samples)
     for attr in ("plr", "twb", "cop"):
         assert _bits_equal(getattr(loaded, attr), getattr(samples, attr))
 

@@ -21,12 +21,14 @@ INFORMS J. Optim. 1(1), 2019). At its optimum every rate off its interval's
 edges sits where its marginal cost equals one level lam, and lam changes
 only across stored-energy states where the tank is full (it rises) or empty
 (it falls). `solve` takes Newton steps on each hour's quadratic model and
-solves each model exactly with that structure: the previous step's full and
-empty states and clipped hours give one closed-form level per segment, a
-guess that breaks an optimality condition is repaired, and a taut-string
-sweep takes over where the repair does not settle. Each step is backtracked
-on the true flatness, so every iterate is feasible and none is worse than
-the start beyond rounding. That loop lives in `_levels`, which `solve`,
+solves each model exactly with that structure, in one two-pass dynamic
+program on the levels' kinks (`_levels._tube`; Johnson, "A dynamic
+programming algorithm for the fused lasso and L0-segmentation", JCGS 22(2),
+2013): backward, the energy the remaining hours take as a function of the
+level is clipped to each state's tank limits, and forward, the level is
+clipped at each state to the two levels where those clips bind. Each step
+is backtracked on the true flatness, so every iterate is feasible and none
+is worse than the start beyond rounding. That loop lives in `_levels`, which `solve`,
 `gradient`, `hessian_diagonal` and `dp_oracle` import when called, so
 importing gridshave compiles none of it. It is plain Python on
 `array('d')` series and lists, and no command loads numpy: each Newton step

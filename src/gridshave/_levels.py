@@ -1,6 +1,6 @@
 """The Newton loop of `optimizer.solve`, its per-hour cost terms and the
 exact solver of each Newton step's model (`_tube`, a two-pass dynamic
-program).
+program), in plain Python on floats and lists.
 
 `optimizer` imports this module inside `solve`, `gradient`,
 `hessian_diagonal` and `dp_oracle`, so that importing gridshave compiles
@@ -14,7 +14,7 @@ from bisect import insort
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .cooling import cop_coefficients, cop_values
+from .cooling import cop_values
 
 if TYPE_CHECKING:
     from .optimizer import ScheduleProblem, SolverOptions
@@ -29,11 +29,11 @@ def hour_terms(q_stor, q_cool, p_base, twb, coefficients, problem: ScheduleProbl
     cop' = dcop/dplr = b + 2 c3 plr and cop'' = 2 c3:
         dp_ch/dq_ch   = (cop - plr cop') / cop^2
         d2p_ch/dq_ch2 = (2 plr cop'^2 - cop (2 cop' + plr cop'')) / (q_ch_max cop^3)
-    Written with plain operators, as `cop_values` is, so it takes one hour's
-    floats or numpy arrays of hours alike; `coefficients` is
+    Takes one hour's floats; `coefficients` is the hour's
     `cop_coefficients(twb, problem.cop_model)`. Not validated: q_stor must
-    lie in `hour_bounds`. The numpy path's reference; `day_terms` repeats
-    its arithmetic for the Newton loop.
+    lie in `hour_bounds`. `gradient`, `hessian_diagonal` and `dp_oracle`
+    evaluate it hour by hour; `day_terms` repeats its arithmetic for the
+    Newton loop.
     """
     model, q_max = problem.cop_model, problem.tes.q_ch_max
     q_ch = q_cool + q_stor
@@ -52,9 +52,10 @@ def day_terms(rates, table, c3, q_max, p_mean):
     (cost, g, h, w, a), the flatness sum of r^2, each hour's gradient
     g = 2 r dp and curvature h = max(2 (dp^2 + r d2p), HESSIAN_FLOOR), and
     the model's w = 1/h and a = rate - g w. `table` holds each hour's
-    (q_cool, p_base, b, c), (b, c) its `cop_coefficients`; c3 and q_max are
-    the COP model's c3 and the chiller capacity. The arithmetic is
-    `hour_terms`', operation for operation, so both give the same floats.
+    (q_cool, p_base, b, c), (b, c) its `ScheduleProblem.coefficients`; c3
+    and q_max are the COP model's c3 and the chiller capacity. The
+    arithmetic is `hour_terms`', operation for operation, so both give the
+    same floats.
     """
     cost, g, h, w, a = 0.0, [], [], [], []
     twice_c3 = 2.0 * c3
@@ -323,9 +324,9 @@ def newton_levels(problem: ScheduleProblem, lo, hi, x0,
                 zhi[k] = e_max - base
     total = tes.e_terminal - base
     lo, hi = [lo[t] for t in free], [hi[t] for t in free]
-    model, q_cool, p_base, twb = problem.cop_model, problem.q_cool, problem.p_base, problem.twb
-    day = ([(q_cool[t], p_base[t], *cop_coefficients(twb[t], model)) for t in free],
-           model.c3, tes.q_ch_max, problem.p_mean)
+    q_cool, p_base, coefficients = problem.q_cool, problem.p_base, problem.coefficients
+    day = ([(q_cool[t], p_base[t], *coefficients[t]) for t in free],
+           problem.cop_model.c3, tes.q_ch_max, problem.p_mean)
     xf = [x[t] for t in free]
     cost, g, h, w, a = day_terms(xf, *day)
     step, res = 0, (math.inf,) * 3

@@ -139,11 +139,9 @@ def cop_coefficients(twb, model: CopModel):
 
 
 def cop_values(plr, twb, model: CopModel, coefficients=None):
-    """The package's one COP polynomial, unguarded (callers check the domain).
-
-    Written with plain operators, so it takes one hour's floats or whole
-    numpy arrays alike; `coefficients` is `cop_coefficients(twb, model)` if
-    known."""
+    """The package's one COP polynomial at one hour's floats, unguarded
+    (callers check the domain); `coefficients` is `cop_coefficients(twb,
+    model)` if known."""
     b, c = cop_coefficients(twb, model) if coefficients is None else coefficients
     return c + (b + model.c3 * plr) * plr
 

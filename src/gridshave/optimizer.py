@@ -30,14 +30,14 @@ clipped at each state to the two levels where those clips bind. Each step
 is backtracked on the true flatness, so every iterate is feasible and none
 is worse than the start beyond rounding. That loop lives in `_levels`, which `solve`,
 `gradient`, `hessian_diagonal` and `dp_oracle` import when called, so
-importing gridshave compiles none of it. It is plain Python on
-`array('d')` series and lists, and no command loads numpy: each Newton step
-makes one pass over a table of the free hours' constants
-(`_levels.day_terms`), and `gradient`, `hessian_diagonal` and `dp_oracle`
-evaluate the same derivatives (`_levels.hour_terms`, the same arithmetic)
-on numpy arrays and import numpy when called. The chiller model is
-`cooling`'s: the per-hour COP coefficients come once per solve from
-`cop_coefficients`, and p_ch is validated only by `chiller_power`. The
+importing gridshave compiles none of it. The package is plain Python on
+`array('d')` series and lists: each Newton step makes one pass over a table
+of the free hours' constants (`_levels.day_terms`), and `gradient`,
+`hessian_diagonal` and `dp_oracle` evaluate the same derivatives hour by
+hour (`_levels.hour_terms`, the same arithmetic). The chiller model is
+`cooling`'s: each hour's COP coefficients come once per problem from
+`cop_coefficients` (`ScheduleProblem.coefficients`), and p_ch is validated
+only by `chiller_power`. The
 start (`feasible_start`) exists exactly when the day is feasible. The
 solver point must pass `check_schedule` (a failure is a bug and raises),
 and the operator heuristic is kept only if it passes; each of the two is
@@ -80,6 +80,8 @@ class ScheduleProblem(Record):
     """One optimization horizon: exogenous series, target level and configs.
 
     The hourly series are stored as `array('d')` copies of the given ones.
+    `coefficients` holds each hour's `cop_coefficients` (b, c), computed
+    once here; it is not a field, so equality, `replace` and repr omit it.
     """
 
     p_base: array           # MW, base electric load (everything but chillers)
@@ -108,6 +110,7 @@ class ScheduleProblem(Record):
                 raise CopDomainError(
                     f"hour {t}: twb={w} outside validity range "
                     f"[{m.twb_min}, {m.twb_max}] C", hour=t)
+        object.__setattr__(self, "coefficients", [cop_coefficients(w, m) for w in self.twb])
         if not 0.0 < self.p_mean < math.inf:
             raise ValueError(f"p_mean must be positive and finite, got {self.p_mean}")
 
@@ -156,12 +159,13 @@ def hour_bounds(problem: ScheduleProblem) -> tuple[array, array]:
     m = problem.cop_model
     a, floor, q_max, rate_max = m.c3, m.cop_floor, problem.tes.q_ch_max, problem.tes.rate_max
     lo, hi = array("d"), array("d")
-    for t, (q_cool, twb) in enumerate(zip(problem.q_cool, problem.twb)):
+    for t, (q_cool, twb, coefficients) in enumerate(zip(problem.q_cool, problem.twb,
+                                                        problem.coefficients)):
         if not 0.0 <= q_cool <= q_max:
             raise InfeasibleStartError(
                 f"hour {t}: cooling demand {q_cool} MW outside [0, {q_max}] MW")
         plr_ref = q_cool / q_max
-        coefficients = b, c = cop_coefficients(twb, m)
+        b, c = coefficients
         if cop_values(plr_ref, twb, m, coefficients) <= floor:
             raise InfeasibleStartError(
                 f"hour {t}: zero-storage operating point violates the COP floor (COP at "
@@ -247,42 +251,31 @@ def objective(q_stor, problem: ScheduleProblem) -> float:
     return flatness(generation_profile(q_stor, problem), problem.p_mean)
 
 
-def _array_terms(q_stor, problem: ScheduleProblem):
-    """`_levels.hour_terms` of every hour at once, on numpy arrays; this
-    loads numpy."""
-    import numpy as np
-
+def _hour_derivatives(q_stor, problem: ScheduleProblem) -> list:
+    """`_levels.hour_terms` (r, dp, d2p) of each hour at q_stor, after the
+    checks of `chiller_power`."""
     from ._levels import hour_terms
 
-    twb = np.asarray(problem.twb)
-    return hour_terms(np.asarray(q_stor, dtype=float), np.asarray(problem.q_cool),
-                      np.asarray(problem.p_base), twb,
-                      cop_coefficients(twb, problem.cop_model), problem)
-
-
-def _validated_terms(q_stor, problem: ScheduleProblem):
-    """`_array_terms` at q_stor after the checks of `chiller_power`."""
     q = _checked_rates(q_stor, problem)
     _chiller_pass(q, problem)
-    return _array_terms(q, problem)
+    return [hour_terms(*hour, problem) for hour in zip(q, problem.q_cool, problem.p_base,
+                                                       problem.twb, problem.coefficients)]
 
 
-def gradient(q_stor, problem: ScheduleProblem):
-    """Analytic d(objective)/d(q_stor), matching central finite differences;
-    a numpy array, as this loads numpy."""
-    r, dp, _ = _validated_terms(q_stor, problem)
-    grad = 2.0 * r * dp
+def gradient(q_stor, problem: ScheduleProblem) -> array:
+    """Analytic d(objective)/d(q_stor), matching central finite differences."""
+    grad = array("d", [2.0 * r * dp for r, dp, _ in _hour_derivatives(q_stor, problem)])
     for t, g in enumerate(grad):
         if not math.isfinite(g):
             raise FloatingPointError(f"non-finite gradient component at hour {t}")
     return grad
 
 
-def hessian_diagonal(q_stor, problem: ScheduleProblem):
-    """Analytic d2(objective)/d(q_stor)^2, a numpy array; the Hessian is
-    diagonal because each hour's cost depends on that hour's rate alone."""
-    r, dp, d2p = _validated_terms(q_stor, problem)
-    return 2.0 * (dp * dp + r * d2p)
+def hessian_diagonal(q_stor, problem: ScheduleProblem) -> array:
+    """Analytic d2(objective)/d(q_stor)^2; the Hessian is diagonal because
+    each hour's cost depends on that hour's rate alone."""
+    return array("d", [2.0 * (dp * dp + r * d2p)
+                       for r, dp, d2p in _hour_derivatives(q_stor, problem)])
 
 
 def feasible_start(problem: ScheduleProblem, lo, hi) -> array:
@@ -431,11 +424,14 @@ def dp_oracle(problem: ScheduleProblem,
     Actions are multiples of action_step inside the per-hour feasible
     interval; stored-energy states are multiples of soc_step anchored at
     e_initial so every transition stays on the grid (action_step must be an
-    integer multiple of soc_step). The reported grid_error_bound is a
-    first-order estimate of how far the continuous optimum can undercut the
-    grid optimum: sum_t max|dcost_t/dq| * action_step / 2. It loads numpy.
+    integer multiple of soc_step). Each hour's stage cost is r^2 from
+    `_levels.hour_terms`; the backward pass keeps every hour's value table,
+    and the forward pass takes the first action that attains the value. The
+    reported grid_error_bound is a first-order estimate of how far the
+    continuous optimum can undercut the grid optimum:
+    sum_t max|dcost_t/dq| * action_step / 2.
     """
-    import numpy as np
+    from ._levels import hour_terms
 
     T = problem.horizon
     if T > HOURS_PER_DAY:
@@ -448,14 +444,14 @@ def dp_oracle(problem: ScheduleProblem,
     ratio = int(round(ratio))
 
     tes = problem.tes
-    lo, hi = (np.asarray(v) for v in hour_bounds(problem))
+    lo, hi = hour_bounds(problem)
 
     k_min = -math.floor(tes.e_initial / soc_step + 1e-9)
     k_max = math.floor((tes.e_max - tes.e_initial) / soc_step + 1e-9)
     n_states = k_max - k_min + 1
     m = math.floor(tes.rate_max / action_step + 1e-9)
-    actions = np.arange(-m, m + 1, dtype=float) * action_step
-    n_actions = actions.shape[0]
+    actions = [j * action_step for j in range(-m, m + 1)]
+    n_actions = len(actions)
 
     if n_states * n_actions + T * n_states > max_table_entries:
         raise GridResourceError(
@@ -471,49 +467,46 @@ def dp_oracle(problem: ScheduleProblem,
     if not 0 <= idx_term < n_states:
         raise InfeasibleStartError("terminal stored energy outside the grid range")
 
-    admissible = (actions[:, None] >= lo - 1e-12) & (actions[:, None] <= hi + 1e-12)
-    empty = np.flatnonzero(~admissible.any(axis=0))
-    if empty.size:
-        raise InfeasibleStartError(f"hour {int(empty[0])}: no admissible action on the grid")
-    # every hour's cost at every action on the grid; an inadmissible action is
-    # evaluated at the admissible zero rate instead and priced at inf
-    r, dp, _ = _array_terms(np.where(admissible, actions[:, None], 0.0), problem)
-    slope = np.abs(2.0 * r * dp)
-    stage_cost = np.where(admissible, r * r, np.inf).T
-    grid_bound = float(np.where(admissible, slope, 0.0).max(axis=0).sum()) * action_step / 2.0
+    # every hour's cost at every action on the grid, inf where inadmissible
+    rows, slopes = [], []
+    for t, hour in enumerate(zip(problem.q_cool, problem.p_base, problem.twb,
+                                 problem.coefficients)):
+        row, slope = [math.inf] * n_actions, 0.0
+        for j, q in enumerate(actions):
+            if lo[t] - 1e-12 <= q <= hi[t] + 1e-12:
+                r, dp, _ = hour_terms(q, *hour, problem)
+                row[j], slope = r * r, max(slope, abs(2.0 * r * dp))
+        if min(row) == math.inf:
+            raise InfeasibleStartError(f"hour {t}: no admissible action on the grid")
+        rows.append(row)
+        slopes.append(slope)
+    grid_bound = math.fsum(slopes) * action_step / 2.0
 
-    shifts = np.arange(-m, m + 1) * ratio
-    value = np.full(n_states, np.inf)
-    value[idx_term] = 0.0
-    policy = np.zeros((T, n_states), dtype=np.int32)
+    # values[t][i]: the least cost of hours t..T-1 from state i to the terminal
+    # state; action j of state i leads to state i + (j - m) * ratio, so state
+    # i takes the actions a..b that stay on the grid
+    spans = []
+    for i in range(n_states):
+        a, b = max(-m, -(i // ratio)), min(m, (n_states - 1 - i) // ratio)
+        spans.append((slice(a + m, b + m + 1), slice(i + a * ratio, i + b * ratio + 1, ratio)))
+    values = [[math.inf] * n_states]
+    values[0][idx_term] = 0.0
+    for row in reversed(rows):
+        after = values[-1]
+        values.append([min(map(add, row[taken], after[reached])) for taken, reached in spans])
+    values.reverse()
 
-    for t in range(T - 1, -1, -1):
-        table = np.full((n_actions, n_states), np.inf)
-        for j, shift in enumerate(shifts):
-            c = stage_cost[t, j]
-            if not np.isfinite(c):
-                continue
-            if shift >= 0:
-                hi_slice = n_states - shift
-                if hi_slice > 0:
-                    table[j, :hi_slice] = c + value[shift:]
-            else:
-                if n_states + shift > 0:
-                    table[j, -shift:] = c + value[: n_states + shift]
-        policy[t] = np.argmin(table, axis=0)
-        value = table[policy[t], np.arange(n_states)]
-
-    start_idx = -k_min
-    if not np.isfinite(value[start_idx]):
+    idx = -k_min
+    if values[0][idx] == math.inf:
         raise InfeasibleStartError(
             "terminal stored energy unreachable on the chosen grids")
 
-    q = array("d", [0.0]) * T
-    idx = start_idx
-    for t in range(T):
-        j = int(policy[t][idx])
-        q[t] = actions[j]
-        idx += shifts[j]
+    q = array("d")
+    for row, value, after in zip(rows, values, values[1:]):
+        j = next(j for j, c in enumerate(row)
+                 if 0 <= (i := idx + (j - m) * ratio) < n_states and c + after[i] == value[idx])
+        q.append(actions[j])
+        idx += (j - m) * ratio
 
     p_ch, generation = _chiller_pass(q, problem)
     return OptimalSchedule(

@@ -47,7 +47,7 @@ def test_criterion_3_gradient_check(first_day_problem):
     worst = 0.0
     for _ in range(100):
         x = lo + (hi - lo) * rng.uniform(0.05, 0.95, 24)
-        ana = gradient(x, p)
+        ana = np.asarray(gradient(x, p))
         fd = np.empty(24)
         for t in range(24):
             e = np.zeros(24)

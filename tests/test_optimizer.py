@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+from array import array
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -35,6 +37,7 @@ from gridshave.errors import (
     SynthesisError,
 )
 from gridshave.optimizer import (
+    OptimalSchedule,
     ScheduleProblem,
     SolverOptions,
     dp_oracle,
@@ -133,7 +136,7 @@ def test_gradient_matches_central_differences(first_day_problem):
     worst = 0.0
     for _ in range(20):
         x = lo + (hi - lo) * rng.uniform(0.1, 0.9, 24)
-        ana = gradient(x, p)
+        ana = np.asarray(gradient(x, p))
         h = 1e-4
         fd = np.empty(24)
         for t in range(24):
@@ -150,7 +153,7 @@ def test_gradient_sign_follows_deviation(first_day_problem):
     # the sign of (G - p_mean)
     p = first_day_problem
     g = np.asarray(generation_profile(np.zeros(24), p))
-    grad = gradient(np.zeros(24), p)
+    grad = np.asarray(gradient(np.zeros(24), p))
     mask = np.abs(g - p.p_mean) > 1e-9
     assert np.all(np.sign(grad[mask]) == np.sign((g - p.p_mean)[mask]))
 
@@ -171,7 +174,7 @@ def test_hessian_diagonal_matches_central_differences(first_day_problem, cop_mod
         for t in range(24):
             e = np.zeros(24)
             e[t] = h
-            fd[:, t] = (gradient(x + e, p) - gradient(x - e, p)) / (2.0 * h)
+            fd[:, t] = (np.asarray(gradient(x + e, p)) - gradient(x - e, p)) / (2.0 * h)
         ana = np.diag(hessian_diagonal(x, p))
         rel = np.abs(ana - fd) / np.maximum(1.0, np.maximum(np.abs(ana), np.abs(fd)))
         worst = max(worst, float(np.max(rel)))
@@ -574,22 +577,27 @@ def test_solve_counts_its_work(first_day_problem, monkeypatch):
     model = mock.Mock(wraps=gridshave._levels._tube)
     validating = mock.Mock(wraps=gridshave.optimizer.chiller_power)
     scalar = mock.Mock(wraps=objective)
+    coefficients = mock.Mock(wraps=gridshave.optimizer.cop_coefficients)
     monkeypatch.setattr(gridshave._levels, "day_terms", per_day)
     monkeypatch.setattr(gridshave._levels, "_tube", model)
     monkeypatch.setattr(gridshave._levels, "hour_terms", per_hour)
     monkeypatch.setattr(gridshave.optimizer, "chiller_power", validating)
     monkeypatch.setattr(gridshave.optimizer, "objective", scalar)
+    monkeypatch.setattr(gridshave.optimizer, "cop_coefficients", coefficients)
     monkeypatch.setitem(sys.modules, "numpy", None)   # any numpy import now fails
     res = solve(first_day_problem)
     # one pass over the free hours at the start and one per step, and no
     # per-hour call; one model solve per step; one validating pass per
-    # candidate (solver point, heuristic) and no separate objective pass
+    # candidate (solver point, heuristic) and no separate objective pass;
+    # the hours' COP coefficients come from the problem, computed when it
+    # was built
     assert res.iterations == 5
     assert per_day.call_count == res.iterations + 1
     assert model.call_count == res.iterations
     assert per_hour.call_count == 0
     assert validating.call_count == 2
     assert scalar.call_count == 0
+    assert coefficients.call_count == 0
 
 
 def test_solve_raises_when_the_solver_point_fails_its_check(first_day_problem, monkeypatch):
@@ -613,8 +621,9 @@ def test_solve_raises_when_the_solver_point_fails_its_check(first_day_problem, m
 
 
 def test_day_terms_match_hour_terms_bit_for_bit():
-    # the Newton loop's one pass and the per-hour reference of the numpy path
-    # are two writings of one formula; they must give the same floats
+    # the Newton loop's one pass and the per-hour terms of `gradient`,
+    # `hessian_diagonal` and `dp_oracle` are two writings of one formula;
+    # they must give the same floats
     rng = np.random.default_rng(7)
     for model in (DEFAULT_COP_MODEL, NON_CONVEX_COP):
         n = 200
@@ -835,21 +844,64 @@ def test_dp_incommensurate_grids_rejected():
         dp_oracle(problem, action_step=0.7, soc_step=0.5)
 
 
-@pytest.mark.parametrize("T", [4, 6, 8])
-def test_solve_consistent_with_dp(T):
+def _bell_problem(T):
+    """A T-hour problem with bell-shaped loads, starting and ending at 100 MWh."""
     rng = np.random.default_rng(T)
     p_base = 30.0 + 8.0 * np.sin(np.linspace(0.0, np.pi, T)) + rng.uniform(-1.0, 1.0, T)
     q_cool = 80.0 + 40.0 * np.sin(np.linspace(0.0, np.pi, T))
     tes = TesConfig(e_initial=100.0, e_terminal=100.0)
-    problem = ScheduleProblem(
+    return ScheduleProblem(
         p_base=p_base, q_cool=q_cool,
         twb=np.full(T, 24.0), p_mean=float(np.mean(p_base)) + 18.0,
         tes=tes, cop_model=DEFAULT_COP_MODEL)
+
+
+@pytest.mark.parametrize("T", [4, 6, 8])
+def test_solve_consistent_with_dp(T):
+    problem = _bell_problem(T)
     dp = dp_oracle(problem, action_step=0.5, soc_step=0.5)
     res = solve(problem)
     slack = 1e-8 * (1.0 + abs(dp.objective))
     assert res.objective <= dp.objective + slack
     assert res.objective >= dp.objective - dp.grid_error_bound - slack
+
+
+def _refcheck():
+    """The benchmark's standard-library references (`perfbench/refcheck.py`),
+    run from their source without writing a byte-code cache. They import
+    nothing from gridshave, so a fault shared by `dp_oracle` and the solver
+    (in `hour_bounds` or `hour_terms`, say) cannot vouch for itself."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refcheck.py")
+    with open(path, encoding="utf-8") as fh:
+        namespace = {"__name__": "refcheck"}
+        exec(compile(fh.read(), path, "exec"), namespace)
+    return SimpleNamespace(**namespace)
+
+
+@pytest.mark.parametrize("kind, n", [("day", 0), ("day", 1), ("day", 2), ("T", 4), ("T", 6),
+                                     ("T", 8)], ids=str)
+def test_dp_oracle_matches_an_independent_dp(day_problems, kind, n):
+    ref = _refcheck()
+    problem = day_problems[n][0] if kind == "day" else _bell_problem(n)
+    tes = problem.tes
+    assert (problem.cop_model, tes.e_max, tes.rate_max, tes.q_ch_max) == (
+        DEFAULT_COP_MODEL, ref.E_MAX, ref.RATE_MAX, ref.Q_CH_MAX)
+    expected = ref.dp_optimum(list(problem.p_base), list(problem.q_cool), list(problem.twb),
+                              problem.p_mean, step=0.5, e_initial=tes.e_initial,
+                              e_terminal=tes.e_terminal)
+    ours = dp_oracle(problem, action_step=0.5, soc_step=0.5).objective
+    assert ours == pytest.approx(expected, rel=1e-12)
+
+
+def test_derivatives_and_oracle_run_without_numpy(first_day_problem, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)   # any numpy import now fails
+    p = first_day_problem
+    x = [0.0] * p.horizon
+    for series in (gradient(x, p), hessian_diagonal(x, p)):
+        assert type(series) is array and series.typecode == "d" and len(series) == p.horizon
+    res = dp_oracle(p)
+    assert type(res) is OptimalSchedule
+    assert check_schedule(res.schedule, p.tes) == []
 
 
 # ---------------------------------------------------------------------------
